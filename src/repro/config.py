@@ -182,9 +182,6 @@ class ModelConfig:
     #: predictor imperceptibly; a slightly looser stop captures nearly the
     #: whole warm-start saving.  Only used when a warm seed exists.
     warm_tolerance: float = 1e-5
-    #: Train a one-vs-rest multi-label model instead of softmax when the
-    #: dataset allows clips to carry multiple labels.
-    multilabel: bool = False
     #: Incremental training engine (on by default): retrains warm-start
     #: L-BFGS from the latest registered model, design matrices are cached
     #: per feature and extended with only the labels appended since the last

@@ -4,7 +4,7 @@ A checkpoint must allow an interrupted ``explore`` run to *continue
 bit-identically* on the serial (simulated) engine, so the snapshot captures
 every piece of state the next iteration reads, not just the stores:
 
-* the four stores (video/label tables, feature columns, registered models),
+* the four stores (video/label records, feature columns, registered models),
   including the feature shards' ``epoch`` counters that key derived caches;
 * the Model Manager's incremental-training state — design-matrix caches
   with their running column sums (floating-point accumulation order matters
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,12 +41,20 @@ from ..exceptions import CheckpointError
 from ..models.model_manager import TrainingStats, _DesignCache
 from ..models.validation import CrossValidationResult, IncrementalFoldAssigner
 from ..scheduler.scheduler import IterationLatency
-from ..types import ClipSpec, TrainedModelInfo
+from ..types import ClipSpec, Label, TrainedModelInfo, VideoRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import ExplorationSession
 
-__all__ = ["STATE_FILE", "ARRAYS_FILE", "write_snapshot_files", "restore_snapshot_files"]
+__all__ = [
+    "STATE_FILE",
+    "ARRAYS_FILE",
+    "capture_state",
+    "stage_tables",
+    "restore_tables",
+    "write_snapshot_files",
+    "restore_snapshot_files",
+]
 
 STATE_FILE = "state.json"
 ARRAYS_FILE = "arrays.npz"
@@ -67,39 +75,74 @@ def _clips_doc(clips: list[ClipSpec]) -> list[list[float]]:
     return [[clip.vid, clip.start, clip.end] for clip in clips]
 
 
-def _table_to_arrays(table, arrays: dict, prefix: str) -> dict:
-    """Stage one table's columns into the bundle; returns its schema doc."""
-    for name, type_name in table.schema.items():
-        values = table.column(name)
-        if type_name == "str":
-            arrays[prefix + name] = np.asarray([str(v) for v in values], dtype=np.str_)
-        else:
-            arrays[prefix + name] = np.asarray(values)
+#: Snapshot dtype of each store column type (``np.str_`` keeps the bundle
+#: pickle-free; an empty string column stages as ``<U1``).
+_COLUMN_DTYPES = {"int": np.int64, "float": np.float64, "str": np.str_}
+
+
+def _stage_table(store, arrays: dict) -> dict:
+    """Stage one record store column by column; returns its doc.
+
+    The first ``SCHEMA`` column is the primary key, staged as each record's
+    list position (a video's vid is its position); every other column is the
+    record field of that name.
+    """
+    name, schema = store.TABLE_NAME, store.SCHEMA
+    records = store.all()
+    key, *record_columns = schema
+    arrays[f"table__{name}__{key}"] = np.arange(len(records), dtype=np.int64)
+    for column in record_columns:
+        arrays[f"table__{name}__{column}"] = np.array(
+            [getattr(record, column) for record in records], dtype=_COLUMN_DTYPES[schema[column]]
+        )
     return {
-        "name": table.name,
-        "primary_key": table.primary_key,
-        "schema": dict(table.schema),
-        "row_count": len(table),
+        "name": name,
+        "primary_key": key,
+        "schema": dict(schema),
+        "row_count": len(records),
     }
 
 
-def _table_from_arrays(schema_doc: dict, arrays: dict, prefix: str):
-    """Rebuild a table from its bundled columns (inverse of ``_table_to_arrays``)."""
-    from ..storage.table import Table
+def stage_tables(videos, labels, arrays: dict) -> dict:
+    """Stage the video and label stores into the bundle; returns ``state["tables"]``.
 
-    table = Table(
-        schema_doc["name"], schema_doc["schema"], primary_key=schema_doc.get("primary_key")
-    )
-    columns = {name: arrays[prefix + name] for name in schema_doc["schema"]}
-    casts = {"int": int, "float": float, "bool": bool, "str": str}
-    for index in range(int(schema_doc["row_count"])):
-        table.insert(
-            {
-                name: casts[type_name](columns[name][index])
-                for name, type_name in schema_doc["schema"].items()
-            }
-        )
-    return table
+    Each store becomes one ``table__<name>__<column>`` array per column of
+    its ``SCHEMA`` (int64, float64, or ``np.str_``), and a doc naming the
+    table, its primary key (the first column), its schema, and its row
+    count.  Labels stage their position as ``label_id``.
+    """
+    return {
+        "videos": _stage_table(videos, arrays),
+        "labels": _stage_table(labels, arrays),
+    }
+
+
+def _table_records(store, record_type, doc: dict, arrays: dict) -> list:
+    """The staged records of one store (inverse of :func:`_stage_table`).
+
+    Raises:
+        CheckpointError: if a column's length differs from the doc's row
+            count or the keys are not ``0..n-1``.
+    """
+    name, row_count = store.TABLE_NAME, int(doc["row_count"])
+    columns = {column: arrays[f"table__{name}__{column}"].tolist() for column in store.SCHEMA}
+    if any(len(values) != row_count for values in columns.values()):
+        raise CheckpointError(f"snapshot table {name!r} columns do not all hold {row_count} rows")
+    if columns[next(iter(store.SCHEMA))] != list(range(row_count)):
+        raise CheckpointError(f"snapshot table {name!r} keys are not 0..n-1")
+    field_names = [field.name for field in fields(record_type)]
+    return [record_type(*row) for row in zip(*(columns[column] for column in field_names))]
+
+
+def restore_tables(videos, labels, tables: dict, arrays: dict) -> None:
+    """Refill the video and label stores in place (inverse of :func:`stage_tables`).
+
+    Both tables are checked before either store changes.
+    """
+    video_records = _table_records(videos, VideoRecord, tables["videos"], arrays)
+    label_records = _table_records(labels, Label, tables["labels"], arrays)
+    videos.restore(video_records)
+    labels.restore(label_records)
 
 
 def _clips_from_doc(doc: list[list[float]]) -> list[ClipSpec]:
@@ -307,7 +350,11 @@ def _capture_features_meta(session: "ExplorationSession") -> dict:
 
 
 def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tuple[dict, dict]:
-    """Session state as a JSON document plus a dict of exact binary arrays."""
+    """Session state as a JSON document plus a dict of exact binary arrays.
+
+    Covers everything a snapshot holds, the stores included: the video and
+    label tables (:func:`stage_tables`) and the feature shards.
+    """
     if session._iteration_open:
         raise CheckpointError("checkpoint requires a closed iteration (finish_iteration first)")
     arrays: dict[str, np.ndarray] = {}
@@ -344,6 +391,18 @@ def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tu
         "features": _capture_features_meta(session),
         "extra_state": extra_state,
     }
+    storage = session.storage
+    state["tables"] = stage_tables(storage.videos, storage.labels, arrays)
+    shards_doc: dict[str, dict] = {}
+    for fid in storage.features.extractors():
+        shard = storage.features._shards[fid]
+        shards_doc[fid] = {"dim": shard.dim, "rows": len(shard)}
+        if len(shard):
+            arrays[f"shard__{fid}__vids"] = shard.vids
+            arrays[f"shard__{fid}__starts"] = shard.starts
+            arrays[f"shard__{fid}__ends"] = shard.ends
+            arrays[f"shard__{fid}__vectors"] = shard.matrix
+    state["features"]["shards"] = shards_doc
     return state, arrays
 
 
@@ -359,21 +418,6 @@ def write_snapshot_files(
     fsyncs, checksums, and atomically renames the directory afterwards.
     """
     state, arrays = capture_state(session, extra_state)
-    storage = session.storage
-    state["tables"] = {
-        "videos": _table_to_arrays(storage.videos._table, arrays, "table__videos__"),
-        "labels": _table_to_arrays(storage.labels._table, arrays, "table__labels__"),
-    }
-    shards_doc: dict[str, dict] = {}
-    for fid in storage.features.extractors():
-        shard = storage.features._shards[fid]
-        shards_doc[fid] = {"dim": shard.dim, "rows": len(shard)}
-        if len(shard):
-            arrays[f"shard__{fid}__vids"] = shard.vids
-            arrays[f"shard__{fid}__starts"] = shard.starts
-            arrays[f"shard__{fid}__ends"] = shard.ends
-            arrays[f"shard__{fid}__vectors"] = shard.matrix
-    state["features"]["shards"] = shards_doc
     with open(directory / ARRAYS_FILE, "wb") as handle:
         np.savez(handle, **arrays)
     (directory / STATE_FILE).write_text(json.dumps(state))
@@ -519,12 +563,7 @@ def restore_snapshot_files(session: "ExplorationSession", directory: Path) -> di
 
     storage = session.storage
     features_meta = state["features"]
-    storage.videos.restore_table(
-        _table_from_arrays(state["tables"]["videos"], arrays, "table__videos__")
-    )
-    storage.labels.restore_table(
-        _table_from_arrays(state["tables"]["labels"], arrays, "table__labels__")
-    )
+    restore_tables(storage.videos, storage.labels, state["tables"], arrays)
     shards: dict[str, tuple | None] = {}
     dims: dict[str, int] = {}
     for fid, doc in features_meta["shards"].items():

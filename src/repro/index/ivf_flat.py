@@ -22,8 +22,6 @@ large ``n``.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 import numpy as np
 
 from ..exceptions import VectorIndexError
@@ -281,52 +279,3 @@ class IVFFlatIndex(VectorIndex):
 
         top_d, top_i = order_hits(top_d, top_i)
         return pad_hits(top_d, top_i, k)
-
-    # ----------------------------------------------------------- persistence
-    def _state(self) -> dict[str, np.ndarray]:
-        self._ensure_trained()
-        return {
-            "centroids": self._centroids,
-            "slabs": self._slabs,
-            "ids": self._ids,
-            "ptr": self._ptr,
-            "extra": self._extra,
-            "extra_ids": self._extra_ids,
-        }
-
-    def _params(self) -> dict[str, Any]:
-        return {
-            "nlist": self.nlist,
-            "nprobe": self.nprobe,
-            "retrain_factor": self.retrain_factor,
-            "seed": self.seed,
-            "trained_n": self._trained_n,
-            # An empty build leaves (0, 0) slabs, so the dim guard must be
-            # persisted explicitly rather than inferred from array shapes.
-            "dim": self._dim,
-        }
-
-    @classmethod
-    def _restore(cls, params: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) -> "IVFFlatIndex":
-        index = cls(
-            nlist=params.get("nlist"),
-            nprobe=int(params.get("nprobe", 8)),
-            retrain_factor=float(params.get("retrain_factor", 0.5)),
-            seed=int(params.get("seed", 0)),
-        )
-        index._centroids = np.ascontiguousarray(arrays["centroids"], dtype=np.float64)
-        index._slabs = np.ascontiguousarray(arrays["slabs"], dtype=np.float64)
-        index._slab_sq = squared_norms(index._slabs)
-        index._ids = np.ascontiguousarray(arrays["ids"], dtype=np.int64)
-        index._ptr = np.ascontiguousarray(arrays["ptr"], dtype=np.int64)
-        index._trained_n = int(params.get("trained_n", index._slabs.shape[0]))
-        extra = np.ascontiguousarray(arrays["extra"], dtype=np.float64)
-        if extra.shape[0]:
-            index._extra = extra
-            index._extra_sq = squared_norms(extra)
-            index._extra_ids = np.ascontiguousarray(arrays["extra_ids"], dtype=np.int64)
-        dim = int(params.get("dim", -1))
-        if dim < 0 and (index._slabs.shape[0] or index._slabs.shape[1]):
-            dim = int(index._slabs.shape[1])  # payloads saved before "dim" existed
-        index._dim = dim
-        return index

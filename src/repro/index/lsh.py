@@ -23,8 +23,6 @@ Deterministic under the seed (hyperplanes are re-drawn from it at each
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 import numpy as np
 
 from ..exceptions import VectorIndexError
@@ -158,29 +156,3 @@ class LSHIndex(VectorIndex):
             out_d[q, :width] = block_d[0]
             out_i[q, :width] = block_i[0]
         return out_d, out_i
-
-    # ----------------------------------------------------------- persistence
-    def _state(self) -> dict[str, np.ndarray]:
-        return {
-            "planes": self._planes,
-            "vectors": self._vectors,
-            "signatures": self._signatures,
-        }
-
-    def _params(self) -> dict[str, Any]:
-        return {"num_tables": self.num_tables, "num_bits": self.num_bits, "seed": self.seed}
-
-    @classmethod
-    def _restore(cls, params: Mapping[str, Any], arrays: Mapping[str, np.ndarray]) -> "LSHIndex":
-        index = cls(
-            num_tables=int(params.get("num_tables", 8)),
-            num_bits=int(params.get("num_bits", 12)),
-            seed=int(params.get("seed", 0)),
-        )
-        index._planes = np.ascontiguousarray(arrays["planes"], dtype=np.float64)
-        index._vectors = np.ascontiguousarray(arrays["vectors"], dtype=np.float64)
-        index._sq = squared_norms(index._vectors)
-        index._signatures = np.ascontiguousarray(arrays["signatures"], dtype=np.int64)
-        if index._vectors.shape[0] or index._vectors.shape[1]:
-            index._dim = int(index._vectors.shape[1])
-        return index

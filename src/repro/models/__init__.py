@@ -6,24 +6,19 @@ from .metrics import (
     accuracy,
     confusion_matrix,
     macro_f1,
-    multilabel_macro_f1,
     per_class_metrics,
     smax_diversity,
 )
 from .model_manager import ModelManager
-from .multilabel import BinaryLogisticRegression, OneVsRestClassifier
 from .validation import CrossValidationResult, cross_validate_macro_f1, stratified_folds
 
 __all__ = [
     "SoftmaxRegression",
-    "BinaryLogisticRegression",
-    "OneVsRestClassifier",
     "ClassMetrics",
     "confusion_matrix",
     "per_class_metrics",
     "macro_f1",
     "accuracy",
-    "multilabel_macro_f1",
     "smax_diversity",
     "CrossValidationResult",
     "stratified_folds",

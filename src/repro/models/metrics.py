@@ -20,7 +20,6 @@ __all__ = [
     "per_class_metrics",
     "macro_f1",
     "accuracy",
-    "multilabel_macro_f1",
     "smax_diversity",
 ]
 
@@ -102,37 +101,6 @@ def accuracy(true_labels: Sequence[str], predicted_labels: Sequence[str]) -> flo
         return 0.0
     matches = sum(1 for t, p in zip(true_labels, predicted_labels) if t == p)
     return matches / len(true_labels)
-
-
-def multilabel_macro_f1(
-    true_sets: Sequence[Sequence[str]],
-    predicted_sets: Sequence[Sequence[str]],
-    classes: Sequence[str],
-) -> float:
-    """Macro F1 for multi-label predictions (per-class binary F1, averaged)."""
-    if not classes:
-        return 0.0
-    if len(true_sets) != len(predicted_sets):
-        raise ValueError("true and predicted label sets must have the same length")
-    scores = []
-    for label in classes:
-        true_positive = false_positive = false_negative = 0
-        for truth, prediction in zip(true_sets, predicted_sets):
-            in_truth = label in truth
-            in_prediction = label in prediction
-            if in_truth and in_prediction:
-                true_positive += 1
-            elif in_prediction:
-                false_positive += 1
-            elif in_truth:
-                false_negative += 1
-        precision_den = true_positive + false_positive
-        recall_den = true_positive + false_negative
-        precision = true_positive / precision_den if precision_den else 0.0
-        recall = true_positive / recall_den if recall_den else 0.0
-        denominator = precision + recall
-        scores.append(2 * precision * recall / denominator if denominator else 0.0)
-    return float(np.mean(scores))
 
 
 def smax_diversity(labels: Sequence[str] | Mapping[str, int]) -> float:

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.checkpoint import capture_state, _table_to_arrays
+from ..core.checkpoint import capture_state
 from ..exceptions import AdmissionError
 from ..types import Label
 from .resilience import RetryPolicy
@@ -339,34 +339,18 @@ class ScriptedUser:
 def session_fingerprint(vocal) -> str:
     """SHA-256 digest of a session's complete durable state.
 
-    Reuses the checkpoint codec, then extends it exactly as a snapshot
-    would — video/label tables and feature shards included — so the digest
-    covers labels, model parameters, bandit state, RNGs, the simulated
-    clock, and per-iteration latency records.  Two sessions with equal
-    digests are bit-identical as far as any future ``explore`` can observe.
+    Hashes exactly what a snapshot would hold (the checkpoint codec's
+    :func:`~repro.core.checkpoint.capture_state`, video/label tables and
+    feature shards included), so the digest covers labels, model
+    parameters, bandit state, RNGs, the simulated clock, and per-iteration
+    latency records.  Two sessions with equal digests are bit-identical as
+    far as any future ``explore`` can observe.
 
     Raises:
         CheckpointError: when the session has an open iteration (finish it
             first; fingerprints are defined at iteration boundaries).
     """
-    session = vocal.session
-    state, arrays = capture_state(session, None)
-    storage = session.storage
-    state["tables"] = {
-        "videos": _table_to_arrays(storage.videos._table, arrays, "table__videos__"),
-        "labels": _table_to_arrays(storage.labels._table, arrays, "table__labels__"),
-    }
-    shards_doc: dict[str, dict] = {}
-    for fid in storage.features.extractors():
-        shard = storage.features._shards[fid]
-        shards_doc[fid] = {"dim": shard.dim, "rows": len(shard)}
-        if len(shard):
-            arrays[f"shard__{fid}__vids"] = shard.vids
-            arrays[f"shard__{fid}__starts"] = shard.starts
-            arrays[f"shard__{fid}__ends"] = shard.ends
-            arrays[f"shard__{fid}__vectors"] = shard.matrix
-    state["features"]["shards"] = shards_doc
-
+    state, arrays = capture_state(vocal.session, None)
     digest = hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8"))
     for name in sorted(arrays):
         array = np.ascontiguousarray(arrays[name])

@@ -1,39 +1,24 @@
-"""Storage subsystem: embedded column store plus the VOCALExplore stores.
+"""Storage subsystem: the VOCALExplore stores and their durability layer.
 
 Public entry points:
 
 * :class:`StorageManager` — facade bundling the four concrete stores.
-* :class:`VideoStore`, :class:`LabelStore`, :class:`FeatureStore`,
-  :class:`ModelRegistry` — the concrete stores.
-* :class:`Table`, :class:`Column`, :func:`col`, :func:`lit` — the embedded
-  column store and its predicate-expression DSL.
-* :class:`~repro.storage.durability.CheckpointManager` and friends — the
-  durable checkpoint/restore subsystem (write-ahead journal, atomic
-  generation snapshots, crash recovery).
+* :class:`VideoStore`, :class:`LabelStore` — append-only record lists of
+  videos and labels; :class:`FeatureStore` — columnar feature vectors;
+  :class:`ModelRegistry` — versioned trained models.
+* :class:`~repro.storage.durability.CheckpointManager` and friends — the one
+  persistence path: a write-ahead journal of store writes plus atomic
+  generation snapshots, with crash recovery.
 """
 
-from .column import Column, ColumnType
 from .durability import CheckpointManager, replay_records
-from .expressions import Expression, col, lit
 from .feature_store import FeatureStore
 from .label_store import LabelStore
 from .model_registry import ModelRegistry
-from .persistence import load_array, load_table, save_array, save_table
 from .storage_manager import StorageManager
-from .table import Table
 from .video_store import VideoStore
 
 __all__ = [
-    "Column",
-    "ColumnType",
-    "Expression",
-    "col",
-    "lit",
-    "Table",
-    "save_table",
-    "load_table",
-    "save_array",
-    "load_array",
     "VideoStore",
     "LabelStore",
     "FeatureStore",

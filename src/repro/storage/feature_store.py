@@ -19,20 +19,17 @@ Lookup paths:
 * similarity search over the vector *contents* goes through a per-shard
   ``repro.index`` vector index (``attach_index``/``search``) that, like the
   sorted-midpoint index, is built lazily and kept in sync with writes —
-  appended rows are folded in incrementally on the next search, and loads
+  appended rows are folded in incrementally on the next search, and restores
   drop the index entirely.
 
-Persistence writes one ``.npz`` per extractor straight from the columnar
-arrays and restores them without row-by-row re-insertion.  Empty shards are
-preserved across a save/load roundtrip via the manifest.
+Snapshots (``repro.core.checkpoint``) stage each shard's columns straight
+into the snapshot bundle, and :meth:`FeatureStore.restore_columns` adopts
+them without row-by-row re-insertion.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import zipfile
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -103,7 +100,7 @@ class _ExtractorShard:
         #: shared by every nearest lookup; invalidated by writes
         self._gsort: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         #: lazily built vector index over the matrix rows; appended rows are
-        #: folded in incrementally on the next search, loads drop it
+        #: folded in incrementally on the next search, restores drop it
         self._vindex: VectorIndex | None = None
         self._vindex_spec: tuple[str, dict] = ("exact", {})
         self._vindex_rows = 0
@@ -248,7 +245,7 @@ class _ExtractorShard:
         ends: np.ndarray,
         vectors: np.ndarray,
     ) -> None:
-        """Take ownership of pre-built columns (used by :meth:`FeatureStore.load`)."""
+        """Take ownership of pre-built columns (snapshot restore)."""
         vids = np.ascontiguousarray(vids, dtype=np.int64)
         starts = np.ascontiguousarray(starts, dtype=np.float64)
         ends = np.ascontiguousarray(ends, dtype=np.float64)
@@ -689,9 +686,9 @@ class FeatureStore:
 
         May be called before any vector is stored: the spec is held aside and
         applied when ``fid``'s shard is first written, so a configuration call
-        never fabricates an extractor in :meth:`extractors` or the persistence
-        manifest.  Re-attaching the same spec is a no-op, so callers can
-        attach unconditionally.
+        never fabricates an extractor in :meth:`extractors` or the snapshot.
+        Re-attaching the same spec is a no-op, so callers can attach
+        unconditionally.
         """
         shard = self._shards.get(fid)
         if shard is not None:
@@ -763,89 +760,7 @@ class FeatureStore:
             raise MissingFeatureError(f"no features stored for extractor {fid!r}")
         return shard
 
-    # ------------------------------------------------------------- persistence
-    def save(self, directory: str | Path) -> None:
-        """Persist one ``.npz`` file per extractor under ``directory``.
-
-        Arrays are written straight from the columnar storage; empty shards
-        are recorded in the manifest (with their dimensionality when known)
-        so a roundtrip preserves :meth:`extractors` exactly.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "extractors": list(self._shards),
-            "dims": {fid: shard.dim for fid, shard in self._shards.items()},
-        }
-        (directory / "features.manifest.json").write_text(json.dumps(manifest, indent=2))
-        for fid, shard in self._shards.items():
-            if len(shard) == 0:
-                continue
-            np.savez(
-                directory / f"features_{fid}.npz",
-                vids=shard.vids,
-                starts=shard.starts,
-                ends=shard.ends,
-                vectors=shard.matrix,
-            )
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "FeatureStore":
-        """Restore a store previously written by :meth:`save`.
-
-        Every extractor listed in the manifest is restored — including empty
-        shards, whose ``.npz`` payload was never written — and non-empty
-        payloads are adopted column-wise without row-by-row re-insertion.
-
-        Raises:
-            StorageError: when the manifest is unparsable, a payload archive
-                is truncated/corrupt, a column is missing from a payload, or
-                the columns of one extractor disagree on row count.
-        """
-        directory = Path(directory)
-        manifest_path = directory / "features.manifest.json"
-        store = cls()
-        if not manifest_path.exists():
-            return store
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StorageError(f"feature manifest {manifest_path} is unreadable: {exc}") from exc
-        dims = manifest.get("dims", {})
-        for fid in manifest.get("extractors", []):
-            dim = dims.get(fid)
-            shard = _ExtractorShard(fid, dim=None if dim in (None, -1) else int(dim))
-            store._shards[fid] = shard
-            payload_path = directory / f"features_{fid}.npz"
-            if not payload_path.exists():
-                continue
-            try:
-                with np.load(payload_path, allow_pickle=False) as payload:
-                    missing = [
-                        name
-                        for name in ("vids", "starts", "ends", "vectors")
-                        if name not in payload.files
-                    ]
-                    if missing:
-                        raise StorageError(
-                            f"feature payload {payload_path} is missing columns {missing}"
-                        )
-                    columns = (
-                        payload["vids"], payload["starts"], payload["ends"], payload["vectors"]
-                    )
-            except (OSError, ValueError, zipfile.BadZipFile, EOFError) as exc:
-                raise StorageError(
-                    f"feature payload {payload_path} is truncated or corrupt: {exc}"
-                ) from exc
-            rows = {len(column) for column in columns}
-            if len(rows) != 1:
-                raise StorageError(
-                    f"feature payload {payload_path} columns disagree on row count: "
-                    f"{sorted(rows)}"
-                )
-            shard.adopt_columns(*columns)
-        return store
-
+    # ------------------------------------------------------------- recovery
     def restore_columns(
         self,
         shards: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None],

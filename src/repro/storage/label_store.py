@@ -2,47 +2,42 @@
 
 Persists every ``AddLabel`` call and answers the queries the Active Learning
 Manager needs: per-class counts (for the skew test and the S_max diversity
-metric), the full label list (for training), and per-video lookups (so already
-labeled clips are not sampled again).
+metric), the full label list (for training), and the labeled vids (so already
+labeled videos are not sampled again).  Labels are kept as an append-only
+list; a label's id is its position in the list.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ..types import ClipSpec, Label
-from .expressions import col
-from .persistence import load_table, save_table
-from .table import Table
+from ..types import ClipSpec, Label, check_field
 
 __all__ = ["LabelStore"]
-
-_SCHEMA = {
-    "label_id": "int",
-    "vid": "int",
-    "start": "float",
-    "end": "float",
-    "label": "str",
-}
 
 
 class LabelStore:
     """Append-only store of user-provided labels."""
 
     TABLE_NAME = "labels"
+    #: Column types in snapshot order; the first column is the primary key.
+    SCHEMA = {
+        "label_id": "int",
+        "vid": "int",
+        "start": "float",
+        "end": "float",
+        "label": "str",
+    }
 
     def __init__(self) -> None:
-        self._table = Table(self.TABLE_NAME, _SCHEMA, primary_key="label_id")
-        self._next_id = 0
-        self._revision = 0
+        self._labels: list[Label] = []
         #: Optional write-ahead sink (``repro.storage.durability``): every
         #: stored label is journaled, keyed by the post-write revision.
         self.journal_sink = None
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._labels)
 
     @property
     def revision(self) -> int:
@@ -52,33 +47,37 @@ class LabelStore:
         at revision ``r`` can catch up by processing only ``since(r)``; the
         Model Manager's design-matrix cache relies on this.
         """
-        return self._revision
+        return len(self._labels)
 
     # ------------------------------------------------------------------ writes
     def add(self, label: Label) -> int:
-        """Store one label; returns its id."""
-        label_id = self._next_id
-        self._table.insert(
-            {
-                "label_id": label_id,
-                "vid": label.vid,
-                "start": label.start,
-                "end": label.end,
-                "label": label.label,
-            }
+        """Store one label; returns its id.
+
+        Raises:
+            SchemaError: if ``vid`` is not an int, ``start``/``end`` are not
+                real, or ``label`` is not a string; nothing is stored or
+                journaled then.
+        """
+        for name in ("vid", "start", "end", "label"):
+            check_field(name, getattr(label, name), self.SCHEMA[name])
+        label_id = len(self._labels)
+        stored = Label(
+            vid=int(label.vid),
+            start=float(label.start),
+            end=float(label.end),
+            label=str(label.label),
         )
-        self._next_id += 1
-        self._revision += 1
+        self._labels.append(stored)
         if self.journal_sink is not None:
             self.journal_sink(
                 {
                     "type": "label",
                     "label_id": label_id,
-                    "vid": label.vid,
-                    "start": label.start,
-                    "end": label.end,
-                    "label": label.label,
-                    "revision": self._revision,
+                    "vid": stored.vid,
+                    "start": stored.start,
+                    "end": stored.end,
+                    "label": stored.label,
+                    "revision": self.revision,
                 }
             )
         return label_id
@@ -87,68 +86,40 @@ class LabelStore:
         """Store several labels; returns their ids."""
         return [self.add(label) for label in labels]
 
+    def restore(self, labels: list[Label]) -> None:
+        """Replace the contents in place (checkpoint recovery).
+
+        Managers hold references to this store, so recovery refills it rather
+        than swapping in a new one.  The journal sink is not invoked.
+        """
+        self._labels = list(labels)
+
     # ------------------------------------------------------------------- reads
     def all(self) -> list[Label]:
         """Return every stored label in insertion order."""
-        return [
-            Label(vid=row["vid"], start=row["start"], end=row["end"], label=row["label"])
-            for row in self._table.rows()
-        ]
+        return list(self._labels)
 
     def since(self, revision: int) -> list[Label]:
         """Labels appended after ``revision``, in insertion order.
 
         ``since(self.revision)`` is always empty; ``since(0)`` equals
         :meth:`all`.  Revisions tick once per stored label, so the labels
-        newer than revision ``r`` are exactly the rows inserted at positions
-        ``r`` onwards.
+        newer than revision ``r`` are exactly those at positions ``r``
+        onwards.
         """
-        if revision >= self._revision:
-            return []
-        # Direct row indexing: materialising only the appended tail keeps this
-        # O(new labels), not O(all labels).
-        return [
-            Label(vid=row["vid"], start=row["start"], end=row["end"], label=row["label"])
-            for row in (
-                self._table.row(index)
-                for index in range(max(0, revision), len(self._table))
-            )
-        ]
-
-    def for_video(self, vid: int) -> list[Label]:
-        """Return the labels applied to video ``vid``."""
-        subset = self._table.filter(col("vid") == vid)
-        return [
-            Label(vid=row["vid"], start=row["start"], end=row["end"], label=row["label"])
-            for row in subset.rows()
-        ]
+        return self._labels[max(0, revision):]
 
     def labeled_clips(self) -> list[ClipSpec]:
         """Return the clip of every stored label (possibly with duplicates)."""
-        return [label.clip for label in self.all()]
+        return [label.clip for label in self._labels]
 
     def labeled_vids(self) -> list[int]:
-        """Return the distinct vids that carry at least one label."""
-        return [int(v) for v in self._table.distinct("vid")]
+        """Return the distinct vids that carry at least one label, first-seen order."""
+        return list(dict.fromkeys(label.vid for label in self._labels))
 
     def class_counts(self) -> dict[str, int]:
-        """Return the number of labels per class."""
-        return dict(Counter(str(v) for v in self._table.column("label")))
-
-    def classes(self) -> list[str]:
-        """Return the distinct class names in first-seen order."""
-        return [str(v) for v in self._table.distinct("label")]
-
-    def count_for_class(self, label: str) -> int:
-        """Return the number of labels with class ``label``."""
-        return self.class_counts().get(label, 0)
-
-    def covers(self, clip: ClipSpec) -> bool:
-        """Return True when some stored label overlaps ``clip``."""
-        for label in self.for_video(clip.vid):
-            if label.clip.overlaps(clip):
-                return True
-        return False
+        """Return the number of labels per class, in first-seen order."""
+        return dict(Counter(label.label for label in self._labels))
 
     def diversity_smax(self) -> float:
         """Fraction of labels belonging to the most-seen class (paper's S_max).
@@ -160,31 +131,3 @@ class LabelStore:
         if total == 0:
             return 0.0
         return max(counts.values()) / total
-
-    # ------------------------------------------------------------- persistence
-    def save(self, directory: str | Path) -> None:
-        """Persist the label table under ``directory``."""
-        save_table(self._table, directory)
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "LabelStore":
-        """Restore a store previously written by :meth:`save`."""
-        store = cls()
-        store.restore_from(directory)
-        return store
-
-    def restore_from(self, directory: str | Path) -> None:
-        """Replace this store's contents in place from a saved table.
-
-        Used by checkpoint recovery, which must refill the *existing* store
-        object (managers hold references to it) rather than swap in a new
-        one.  The journal sink is left untouched and not invoked.
-        """
-        self.restore_table(load_table(self.TABLE_NAME, directory))
-
-    def restore_table(self, table: Table) -> None:
-        """Adopt a rebuilt label table in place (checkpoint recovery)."""
-        self._table = table
-        ids = self._table.column("label_id")
-        self._next_id = int(max(ids)) + 1 if len(ids) else 0
-        self._revision = len(self._table)

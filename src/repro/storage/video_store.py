@@ -1,50 +1,47 @@
 """Video metadata store.
 
 Tracks every video registered through ``AddVideo`` (or bulk loading) and hands
-out stable integer video ids.  Backed by a column-store table so metadata can
-be filtered with predicate expressions and persisted to disk.
+out stable integer video ids.  Videos are kept as an append-only list of
+:class:`~repro.types.VideoRecord`; vids are assigned ``0..n-1``, so a record's
+vid is its position in the list.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import UnknownVideoError
-from ..types import VideoRecord
-from .persistence import load_table, save_table
-from .table import Table
+from ..types import VideoRecord, check_field
 
 __all__ = ["VideoStore"]
-
-_SCHEMA = {
-    "vid": "int",
-    "path": "str",
-    "duration": "float",
-    "start_time": "float",
-    "fps": "float",
-}
 
 
 class VideoStore:
     """Registry of :class:`~repro.types.VideoRecord` rows keyed by ``vid``."""
 
     TABLE_NAME = "videos"
+    #: Column types in snapshot order; the first column is the primary key.
+    SCHEMA = {
+        "vid": "int",
+        "path": "str",
+        "duration": "float",
+        "start_time": "float",
+        "fps": "float",
+    }
 
     def __init__(self) -> None:
-        self._table = Table(self.TABLE_NAME, _SCHEMA, primary_key="vid")
-        self._next_vid = 0
+        self._records: list[VideoRecord] = []
         #: Optional write-ahead sink (``repro.storage.durability``): every
         #: registered video is journaled under its assigned vid.
         self.journal_sink = None
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._records)
 
     def __contains__(self, vid: int) -> bool:
-        return vid in self._table
+        return isinstance(vid, (int, np.integer)) and 0 <= vid < len(self._records)
 
     # ------------------------------------------------------------------ writes
     def add(
@@ -54,24 +51,24 @@ class VideoStore:
         start_time: float = 0.0,
         fps: float = 30.0,
     ) -> VideoRecord:
-        """Register one video and return its record (with an assigned ``vid``)."""
+        """Register one video and return its record (with an assigned ``vid``).
+
+        Raises:
+            SchemaError: if ``path`` is not a string or a number is not real;
+                nothing is stored or journaled then.
+        """
+        check_field("path", path, "str")
+        check_field("duration", duration, "float")
+        check_field("start_time", start_time, "float")
+        check_field("fps", fps, "float")
         record = VideoRecord(
-            vid=self._next_vid,
+            vid=len(self._records),
             path=path,
             duration=float(duration),
             start_time=float(start_time),
             fps=float(fps),
         )
-        self._table.insert(
-            {
-                "vid": record.vid,
-                "path": record.path,
-                "duration": record.duration,
-                "start_time": record.start_time,
-                "fps": record.fps,
-            }
-        )
-        self._next_vid += 1
+        self._records.append(record)
         if self.journal_sink is not None:
             self.journal_sink(
                 {
@@ -95,6 +92,14 @@ class VideoStore:
             for record in records
         ]
 
+    def restore(self, records: list[VideoRecord]) -> None:
+        """Replace the contents in place (checkpoint recovery).
+
+        Managers hold references to this store, so recovery refills it rather
+        than swapping in a new one.  The journal sink is not invoked.
+        """
+        self._records = list(records)
+
     # ------------------------------------------------------------------- reads
     def get(self, vid: int) -> VideoRecord:
         """Return the record for ``vid``.
@@ -102,64 +107,20 @@ class VideoStore:
         Raises:
             UnknownVideoError: if the vid has not been registered.
         """
-        try:
-            row = self._table.get_by_key(vid)
-        except KeyError as exc:
-            raise UnknownVideoError(f"video {vid} is not registered") from exc
-        return VideoRecord(
-            vid=row["vid"],
-            path=row["path"],
-            duration=row["duration"],
-            start_time=row["start_time"],
-            fps=row["fps"],
-        )
+        if vid not in self:
+            raise UnknownVideoError(f"video {vid} is not registered")
+        return self._records[vid]
 
     def all(self) -> list[VideoRecord]:
         """Return every registered video in insertion order."""
-        return [self.get(int(vid)) for vid in self._table.column("vid")]
+        return list(self._records)
 
     def vids(self) -> list[int]:
         """Return all registered video ids in insertion order."""
-        return [int(v) for v in self._table.column("vid")]
+        return list(range(len(self._records)))
 
     def total_duration(self) -> float:
         """Sum of all video durations in seconds."""
-        if len(self._table) == 0:
+        if not self._records:
             return 0.0
-        return float(np.sum(self._table.column("duration")))
-
-    def sample_vids(self, count: int, rng: np.random.Generator, exclude: Sequence[int] = ()) -> list[int]:
-        """Sample up to ``count`` distinct vids uniformly at random, skipping ``exclude``."""
-        excluded = set(exclude)
-        available = [vid for vid in self.vids() if vid not in excluded]
-        if not available:
-            return []
-        count = min(count, len(available))
-        chosen = rng.choice(len(available), size=count, replace=False)
-        return [available[int(i)] for i in chosen]
-
-    # ------------------------------------------------------------- persistence
-    def save(self, directory: str | Path) -> None:
-        """Persist the metadata table under ``directory``."""
-        save_table(self._table, directory)
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "VideoStore":
-        """Restore a store previously written by :meth:`save`."""
-        store = cls()
-        store.restore_from(directory)
-        return store
-
-    def restore_from(self, directory: str | Path) -> None:
-        """Replace this store's contents in place from a saved table.
-
-        Checkpoint recovery refills the existing store object (managers hold
-        references to it); the journal sink is left untouched and not invoked.
-        """
-        self.restore_table(load_table(self.TABLE_NAME, directory))
-
-    def restore_table(self, table: Table) -> None:
-        """Adopt a rebuilt video table in place (checkpoint recovery)."""
-        self._table = table
-        vids = self._table.column("vid")
-        self._next_vid = int(np.max(vids)) + 1 if len(vids) else 0
+        return float(np.sum([record.duration for record in self._records]))

@@ -1,7 +1,7 @@
 """Core value types shared across the VOCALExplore reproduction.
 
 These are deliberately small, immutable dataclasses: the storage manager keeps
-the authoritative copies in its column tables, and the rest of the system
+the authoritative copies in its record lists, and the rest of the system
 passes these records around by value.  Times are expressed in seconds from the
 start of each video unless stated otherwise.
 """
@@ -9,11 +9,11 @@ start of each video unless stated otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import InvalidClipError
+from .exceptions import InvalidClipError, SchemaError
 
 __all__ = [
     "VideoRecord",
@@ -23,7 +23,28 @@ __all__ = [
     "Prediction",
     "VideoSegment",
     "TrainedModelInfo",
+    "check_field",
 ]
+
+#: Python/numpy scalar types each stored field type accepts.
+_ACCEPTED = {
+    "int": (int, np.integer),
+    "float": (int, float, np.integer, np.floating),
+    "str": (str,),
+}
+
+
+def check_field(name: str, value: Any, type_name: str) -> None:
+    """Reject ``value`` unless it fits a stored field of ``type_name``.
+
+    The label and video stores call this before storing a record.  Bools
+    never pass, although Python treats them as ints.
+
+    Raises:
+        SchemaError: naming the field and the offending type.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, _ACCEPTED[type_name]):
+        raise SchemaError(f"column {name!r} expects {type_name}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

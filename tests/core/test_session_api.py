@@ -1,12 +1,16 @@
 """Tests for the exploration session and the VOCALExplore public API."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.config import SchedulerConfig, VocalExploreConfig
 from repro.core.api import VOCALExplore
 from repro.core.oracle import OracleUser
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SchemaError
 from repro.scheduler.tasks import TaskKind
+from repro.types import Label
 
 
 def run_iterations(vocal, oracle, steps, batch_size=5, label=None):
@@ -180,3 +184,66 @@ class TestSchedulingStrategies:
         vocal.session.force_acquisition = "random"
         results = run_iterations(vocal, oracle, steps=6)
         assert all(result.acquisition == "random" for result in results)
+
+
+_GOOD_LABEL = {"vid": 0, "start": 0.0, "end": 1.0, "label": "walk"}
+_GOOD_VIDEO = {"path": "extra.mp4", "duration": 10.0, "start_time": 0.0, "fps": 30.0}
+
+
+class TestInputChecks:
+    @staticmethod
+    def watched(vocal):
+        """Attach a recording journal sink; return it with a store-size probe."""
+        storage = vocal.session.storage
+        journaled = []
+        storage.attach_journal(journaled.append)
+        return journaled, lambda: (
+            len(storage.labels), storage.labels.revision, len(storage.videos)
+        )
+
+    @pytest.mark.parametrize(
+        "call, field, bad",
+        [
+            ("add_label", "vid", True),
+            ("add_label", "vid", 1.0),
+            ("add_label", "vid", "1"),
+            ("add_label", "start", "0"),
+            ("add_label", "start", None),
+            ("add_label", "end", True),
+            ("add_label", "label", 3),
+            ("add_label", "label", None),
+            ("add_video", "path", 7),
+            ("add_video", "duration", "10"),
+            ("add_video", "duration", True),
+            ("add_video", "start_time", None),
+            ("add_video", "fps", 1j),
+        ],
+    )
+    def test_bad_field_raises_schema_error_and_stores_nothing(
+        self, vocal_tiny, call, field, bad
+    ):
+        journaled, sizes = self.watched(vocal_tiny)
+        before = sizes()
+        good = _GOOD_LABEL if call == "add_label" else _GOOD_VIDEO
+        with pytest.raises(SchemaError, match=field):
+            getattr(vocal_tiny, call)(**{**good, field: bad})
+        assert sizes() == before
+        assert journaled == []
+
+    def test_good_fields_are_stored_and_journaled(self, vocal_tiny):
+        journaled, sizes = self.watched(vocal_tiny)
+        labels, revision, videos = sizes()
+        vocal_tiny.add_label(**_GOOD_LABEL)
+        vocal_tiny.add_video(**_GOOD_VIDEO)
+        assert sizes() == (labels + 1, revision + 1, videos + 1)
+        assert [record["type"] for record in journaled] == ["label", "video"]
+
+    def test_numpy_scalars_are_journaled_as_plain_values(self, vocal_tiny):
+        journaled, sizes = self.watched(vocal_tiny)
+        vocal_tiny.add_label(np.int64(0), np.float32(0.5), np.float64(1.0), np.str_("walk"))
+        (record,) = journaled
+        assert [type(record[key]) for key in ("vid", "start", "end", "label")] == [
+            int, float, float, str
+        ]
+        json.dumps(record)
+        assert vocal_tiny.session.storage.labels.all()[-1] == Label(0, 0.5, 1.0, "walk")

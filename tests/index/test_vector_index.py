@@ -5,8 +5,7 @@ The contract under test (see repro.index.base):
 * ExactIndex matches a naive full scan exactly;
 * IVF/LSH recall@k stays above backend-specific floors on clustered data;
 * builds and searches are deterministic under a fixed seed;
-* incremental adds are immediately visible (IVF re-trains past its threshold);
-* save/load round-trips every backend bit-for-bit.
+* incremental adds are immediately visible (IVF re-trains past its threshold).
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.index import (
     ExactIndex,
     IVFFlatIndex,
     LSHIndex,
-    VectorIndex,
     build_index,
     index_backends,
 )
@@ -250,51 +248,3 @@ class TestLSHIndex:
         assert index._planes.shape[1] == index._capped_bits(4000)
         __, indices = index.search(vectors[2500], 1)
         assert indices[0, 0] == 2500
-
-
-class TestSaveLoad:
-    @pytest.mark.parametrize("backend", ["exact", "ivf-flat", "lsh"])
-    def test_roundtrip_bitwise(self, backend, tmp_path):
-        vectors, queries = clustered(700, seed=15)
-        index = build_index(backend, seed=4)
-        index.build(vectors)
-        path = tmp_path / "index.npz"
-        index.save(path)
-        restored = VectorIndex.load(path)
-        assert type(restored) is type(index)
-        assert len(restored) == len(index)
-        d0, i0 = index.search(queries, 8)
-        d1, i1 = restored.search(queries, 8)
-        assert np.array_equal(i0, i1)
-        assert np.array_equal(d0, d1)
-
-    @pytest.mark.parametrize("backend", ["exact", "ivf-flat", "lsh"])
-    def test_empty_roundtrip_keeps_dim_guard(self, backend, tmp_path):
-        index = build_index(backend)
-        index.build(np.empty((0, 5)))
-        path = tmp_path / "index.npz"
-        index.save(path)
-        restored = VectorIndex.load(path)
-        assert restored.dim == 5
-        with pytest.raises(VectorIndexError):
-            restored.add(np.zeros((2, 7)))
-
-    def test_load_through_concrete_class_checks_backend(self, tmp_path):
-        index = ExactIndex()
-        index.build(np.zeros((4, 3)))
-        path = tmp_path / "index.npz"
-        index.save(path)
-        assert isinstance(ExactIndex.load(path), ExactIndex)
-        with pytest.raises(VectorIndexError):
-            LSHIndex.load(path)
-
-    def test_ivf_roundtrip_preserves_side_buffer(self, tmp_path):
-        vectors, queries = clustered(500, seed=16)
-        index = IVFFlatIndex(seed=0, retrain_factor=10.0)
-        index.build(vectors[:450])
-        index.add(vectors[450:])
-        path = tmp_path / "index.npz"
-        index.save(path)
-        restored = VectorIndex.load(path)
-        assert len(restored) == 500
-        assert np.array_equal(index.search(queries, 5)[1], restored.search(queries, 5)[1])

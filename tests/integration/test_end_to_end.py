@@ -6,7 +6,6 @@ from repro.config import ALMConfig, SchedulerConfig, VocalExploreConfig
 from repro.core.api import VOCALExplore
 from repro.core.oracle import NoisyOracleUser, OracleUser
 from repro.experiments.evaluation import ModelEvaluator
-from repro.storage.storage_manager import StorageManager
 
 
 def run_session(vocal, oracle, steps, batch_size=5):
@@ -90,15 +89,25 @@ class TestFullExplorationLoop:
 
 class TestWorkspacePersistence:
     def test_session_state_survives_save_and_load(self, tiny_dataset, tmp_path):
-        vocal = VOCALExplore.for_dataset(tiny_dataset, config=VocalExploreConfig(seed=0))
+        """Checkpoint, then resume into a fresh session: the stores come back."""
+
+        def build():
+            config = VocalExploreConfig(
+                scheduler=SchedulerConfig(checkpoint_dir=str(tmp_path)), seed=0
+            )
+            return VOCALExplore.for_dataset(tiny_dataset, config=config)
+
+        vocal = build()
         oracle = OracleUser(tiny_dataset.train_corpus)
         run_session(vocal, oracle, steps=3)
+        vocal.checkpoint()
         storage = vocal.session.storage
-        storage.save(tmp_path)
 
-        restored = StorageManager.load(tmp_path)
-        assert len(restored.videos) == len(storage.videos)
-        assert len(restored.labels) == len(storage.labels)
+        restored_vocal = build()
+        restored_vocal.resume()
+        restored = restored_vocal.session.storage
+        assert restored.videos.all() == storage.videos.all()
+        assert restored.labels.all() == storage.labels.all()
         assert restored.labels.class_counts() == storage.labels.class_counts()
         for fid in storage.features.extractors():
             assert restored.features.count(fid) == storage.features.count(fid)

@@ -1,4 +1,4 @@
-"""Tests for softmax regression and the one-vs-rest multi-label model."""
+"""Tests for softmax regression."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import InsufficientLabelsError, NotFittedError
 from repro.models.linear import SoftmaxRegression
-from repro.models.multilabel import BinaryLogisticRegression, OneVsRestClassifier
 
 
 def separable_data(n_per_class=30, num_classes=3, dim=10, seed=0, spread=4.0):
@@ -127,76 +126,6 @@ class TestSoftmaxRegression:
         probabilities = model.predict_proba(features)
         assert probabilities.shape == (len(labels), num_classes)
         np.testing.assert_allclose(probabilities.sum(axis=1), 1.0, atol=1e-8)
-
-
-class TestBinaryLogisticRegression:
-    def test_fit_and_predict(self):
-        rng = np.random.default_rng(0)
-        features = rng.standard_normal((60, 5))
-        targets = (features[:, 0] > 0).astype(float)
-        model = BinaryLogisticRegression().fit(features, targets)
-        probabilities = model.predict_proba(features)
-        accuracy = np.mean((probabilities > 0.5) == targets)
-        assert accuracy > 0.9
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            BinaryLogisticRegression().predict_proba(np.zeros((1, 3)))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(InsufficientLabelsError):
-            BinaryLogisticRegression().fit(np.zeros((3, 2)), np.zeros(2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientLabelsError):
-            BinaryLogisticRegression().fit(np.zeros((0, 2)), np.zeros(0))
-
-
-class TestOneVsRest:
-    def build_multilabel_data(self, seed=0):
-        rng = np.random.default_rng(seed)
-        features = rng.standard_normal((80, 6))
-        label_sets = []
-        for row in features:
-            labels = []
-            if row[0] > 0:
-                labels.append("car")
-            if row[1] > 0:
-                labels.append("person")
-            if not labels:
-                labels.append("empty")
-            label_sets.append(labels)
-        return features, label_sets
-
-    def test_fit_and_predict_sets(self):
-        features, label_sets = self.build_multilabel_data()
-        model = OneVsRestClassifier(["car", "person", "empty"]).fit(features, label_sets)
-        predictions = model.predict(features)
-        assert len(predictions) == len(label_sets)
-        assert all(isinstance(p, list) and p for p in predictions)
-
-    def test_probabilities_shape_and_range(self):
-        features, label_sets = self.build_multilabel_data()
-        model = OneVsRestClassifier(["car", "person", "empty"]).fit(features, label_sets)
-        probabilities = model.predict_proba(features[:9])
-        assert probabilities.shape == (9, 3)
-        assert np.all((probabilities >= 0) & (probabilities <= 1))
-
-    def test_class_never_positive_falls_back_to_base_rate(self):
-        features, label_sets = self.build_multilabel_data()
-        model = OneVsRestClassifier(["car", "person", "ghost"]).fit(features, label_sets)
-        probabilities = model.predict_proba(features[:5])
-        np.testing.assert_allclose(probabilities[:, 2], 0.0, atol=1e-12)
-
-    def test_requires_classes_and_examples(self):
-        with pytest.raises(InsufficientLabelsError):
-            OneVsRestClassifier([])
-        with pytest.raises(InsufficientLabelsError):
-            OneVsRestClassifier(["a"]).fit(np.zeros((0, 2)), [])
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            OneVsRestClassifier(["a"]).predict_proba(np.zeros((1, 2)))
 
 
 class TestEncodeLabels:

@@ -8,7 +8,6 @@ from repro.models.metrics import (
     accuracy,
     confusion_matrix,
     macro_f1,
-    multilabel_macro_f1,
     per_class_metrics,
     smax_diversity,
 )
@@ -94,26 +93,6 @@ class TestAccuracy:
         assert accuracy(["a", "b"], ["a", "b"]) == 1.0
         assert accuracy(["a", "b"], ["a", "c"]) == 0.5
         assert accuracy([], []) == 0.0
-
-
-class TestMultilabelMacroF1:
-    def test_perfect(self):
-        sets = [["a", "b"], ["c"]]
-        assert multilabel_macro_f1(sets, sets, CLASSES) == 1.0
-
-    def test_partial_overlap(self):
-        truth = [["a", "b"], ["b"]]
-        predicted = [["a"], ["b"]]
-        value = multilabel_macro_f1(truth, predicted, ["a", "b"])
-        # Class a: P=1, R=1 -> 1.0; class b: P=1, R=0.5 -> 2/3.
-        assert value == pytest.approx((1.0 + 2 / 3) / 2)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            multilabel_macro_f1([["a"]], [], ["a"])
-
-    def test_empty_classes(self):
-        assert multilabel_macro_f1([["a"]], [["a"]], []) == 0.0
 
 
 class TestSmaxDiversity:

@@ -143,58 +143,43 @@ class TestMatrixAccess:
         np.testing.assert_allclose(vectors[1], np.full(8, 2.0))
 
 
-class TestFeatureStorePersistence:
-    def test_save_and_load_roundtrip(self, tmp_path):
+def restored_copy(store):
+    """Restore ``store``'s shards into a fresh store, as snapshot recovery does."""
+    fids = store.extractors()
+    copy = FeatureStore()
+    copy.restore_columns(
+        {fid: store.columns(fid) if store.count(fid) else None for fid in fids},
+        {fid: store.dim(fid) for fid in fids},
+    )
+    return copy
+
+
+class TestRestoreColumns:
+    def test_restore_roundtrip(self):
         store = FeatureStore()
         store.add(feature(fid="r3d", vid=0, value=1.5))
         store.add(feature(fid="clip", vid=1, start=2.0, end=3.0, value=-1.0, dim=4))
-        store.save(tmp_path)
-        loaded = FeatureStore.load(tmp_path)
+        loaded = restored_copy(store)
         assert set(loaded.extractors()) == {"r3d", "clip"}
         np.testing.assert_allclose(
             loaded.get("clip", ClipSpec(1, 2.0, 3.0)), np.full(4, -1.0)
         )
 
-    def test_load_missing_directory_gives_empty_store(self, tmp_path):
-        loaded = FeatureStore.load(tmp_path / "nothing")
-        assert loaded.extractors() == []
-
-    def test_roundtrip_preserves_extractor_with_missing_payload(self, tmp_path):
-        """A manifest entry whose .npz payload is gone must not be dropped."""
-        store = FeatureStore()
-        store.add(feature(fid="r3d", vid=0))
-        store.add(feature(fid="clip", vid=1, dim=4))
-        store.save(tmp_path)
-        (tmp_path / "features_clip.npz").unlink()
-
-        loaded = FeatureStore.load(tmp_path)
-        assert set(loaded.extractors()) == {"r3d", "clip"}
+    def test_empty_shard_keeps_extractor_and_dim(self):
+        loaded = FeatureStore()
+        loaded.restore_columns({"clip": None}, {"clip": 4})
+        assert loaded.extractors() == ["clip"]
         assert loaded.count("clip") == 0
-        # Dimensionality survives via the manifest, so empty reads are shaped.
         assert loaded.dim("clip") == 4
         assert loaded.matrix("clip", []).shape == (0, 4)
         clips, matrix = loaded.all_vectors("clip")
         assert clips == [] and matrix.shape == (0, 4)
 
-    def test_roundtrip_of_empty_shard_is_stable(self, tmp_path):
-        store = FeatureStore()
-        store.add(feature(fid="r3d", vid=0))
-        store.save(tmp_path)
-        (tmp_path / "features_r3d.npz").unlink()
-        once = FeatureStore.load(tmp_path)
-
-        second_dir = tmp_path / "again"
-        once.save(second_dir)
-        twice = FeatureStore.load(second_dir)
-        assert twice.extractors() == once.extractors() == ["r3d"]
-        assert twice.count("r3d") == 0
-
-    def test_load_avoids_row_reinsertion_and_preserves_order(self, tmp_path):
+    def test_restore_adopts_columns_in_order(self):
         store = FeatureStore()
         for vid in (3, 1, 2):
             store.add(feature(vid=vid, value=float(vid)))
-        store.save(tmp_path)
-        loaded = FeatureStore.load(tmp_path)
+        loaded = restored_copy(store)
         assert loaded.clips_for("r3d") == store.clips_for("r3d")
         vids, __, __, vectors = loaded.columns("r3d")
         np.testing.assert_array_equal(vids, [3, 1, 2])

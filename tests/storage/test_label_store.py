@@ -1,5 +1,6 @@
 """Tests for the label store."""
 
+import numpy as np
 import pytest
 
 from repro.storage.label_store import LabelStore
@@ -28,14 +29,6 @@ class TestLabelStore:
         ids = store.add_many([label(0), label(1), label(2)])
         assert ids == [0, 1, 2]
 
-    def test_for_video(self):
-        store = LabelStore()
-        store.add(label(0, name="a"))
-        store.add(label(1, name="b"))
-        store.add(label(0, 5.0, 6.0, "c"))
-        names = [entry.label for entry in store.for_video(0)]
-        assert names == ["a", "c"]
-
     def test_labeled_vids_distinct(self):
         store = LabelStore()
         store.add(label(3))
@@ -43,27 +36,32 @@ class TestLabelStore:
         store.add(label(5))
         assert store.labeled_vids() == [3, 5]
 
+    def test_labeled_vids_first_seen_order(self):
+        store = LabelStore()
+        for vid in (5, 3, 5, 0, 3):
+            store.add(label(vid))
+        assert store.labeled_vids() == [5, 3, 0]
+
+    def test_class_counts_first_seen_order(self):
+        store = LabelStore()
+        for name in ["b", "a", "b", "c"]:
+            store.add(label(0, name=name))
+        assert list(store.class_counts()) == ["b", "a", "c"]
+
+    def test_add_stores_plain_python_scalars(self):
+        store = LabelStore()
+        store.add(Label(vid=np.int64(2), start=1, end=np.float32(1.5), label=np.str_("a")))
+        (stored,) = store.all()
+        assert stored == Label(2, 1.0, 1.5, "a")
+        assert [type(value) for value in (stored.vid, stored.start, stored.end, stored.label)] == [
+            int, float, float, str
+        ]
+
     def test_class_counts(self):
         store = LabelStore()
         for name in ["a", "a", "b", "c", "a"]:
             store.add(label(0, name=name))
         assert store.class_counts() == {"a": 3, "b": 1, "c": 1}
-
-    def test_classes_first_seen_order(self):
-        store = LabelStore()
-        for name in ["b", "a", "b", "c"]:
-            store.add(label(0, name=name))
-        assert store.classes() == ["b", "a", "c"]
-
-    def test_count_for_class_missing(self):
-        assert LabelStore().count_for_class("x") == 0
-
-    def test_covers_overlapping_clip(self):
-        store = LabelStore()
-        store.add(label(0, 2.0, 4.0))
-        assert store.covers(ClipSpec(0, 3.0, 5.0))
-        assert not store.covers(ClipSpec(0, 4.5, 5.0))
-        assert not store.covers(ClipSpec(1, 2.0, 4.0))
 
     def test_labeled_clips(self):
         store = LabelStore()
@@ -85,18 +83,6 @@ class TestLabelStore:
         for name in ["a"] * 8 + ["b", "c"]:
             store.add(label(0, name=name))
         assert store.diversity_smax() == pytest.approx(0.8)
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        store = LabelStore()
-        store.add(label(0, 1.0, 2.0, "walk"))
-        store.add(label(3, 0.0, 1.0, "eat"))
-        store.save(tmp_path)
-        loaded = LabelStore.load(tmp_path)
-        assert len(loaded) == 2
-        assert loaded.class_counts() == {"walk": 1, "eat": 1}
-        # New ids continue after the loaded maximum.
-        assert loaded.add(label(9)) == 2
-
 
 class TestRevision:
     def test_revision_ticks_per_label(self):
@@ -128,13 +114,3 @@ class TestRevision:
         store = LabelStore()
         store.add_many([label(0), label(1), label(2)])
         assert store.since(0) == store.all()
-
-    def test_load_restores_revision(self, tmp_path):
-        store = LabelStore()
-        store.add_many([label(0), label(1)])
-        store.save(tmp_path)
-        loaded = LabelStore.load(tmp_path)
-        assert loaded.revision == 2
-        loaded.add(label(2))
-        assert loaded.revision == 3
-        assert [entry.vid for entry in loaded.since(2)] == [2]

@@ -1,13 +1,10 @@
-"""Tests for the model registry and storage-manager facade."""
+"""Tests for the model registry."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.models.linear import SoftmaxRegression
 from repro.storage.model_registry import ModelRegistry
-from repro.storage.storage_manager import StorageManager
-from repro.types import Label
 
 
 class DummyModel:
@@ -56,53 +53,6 @@ class TestModelRegistry:
         registry = ModelRegistry()
         registry.register("clip", DummyModel(1), ["a"], 5, created_at=0.0)
         assert registry.features_with_models() == ["clip"]
-
-    def test_save_checkpoint_writes_file(self, tmp_path):
-        registry = ModelRegistry()
-        info = registry.register("r3d", DummyModel(4), ["a", "b"], 5, created_at=0.0)
-        path = registry.save_checkpoint(info.model_id, tmp_path)
-        assert path.exists()
-        np.testing.assert_allclose(np.load(path), np.full(3, 4.0))
-
-    def test_save_checkpoint_requires_parameters(self, tmp_path):
-        registry = ModelRegistry()
-        info = registry.register("r3d", object(), ["a"], 5, created_at=0.0)
-        with pytest.raises(ModelError):
-            registry.save_checkpoint(info.model_id, tmp_path)
-
-    def test_checkpoint_of_real_model(self, tmp_path):
-        rng = np.random.default_rng(0)
-        features = rng.standard_normal((20, 6))
-        labels = ["a" if x[0] > 0 else "b" for x in features]
-        model = SoftmaxRegression(["a", "b"]).fit(features, labels)
-        registry = ModelRegistry()
-        info = registry.register("r3d", model, ["a", "b"], 20, created_at=0.0)
-        path = registry.save_checkpoint(info.model_id, tmp_path)
-        assert np.load(path).ndim == 1
-
-
-class TestStorageManager:
-    def test_summary_counts(self):
-        manager = StorageManager()
-        manager.videos.add("a.mp4", 10.0)
-        manager.labels.add(Label(0, 0.0, 1.0, "walk"))
-        summary = manager.summary()
-        assert summary["videos"] == 1
-        assert summary["labels"] == 1
-        assert summary["models"] == 0
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        manager = StorageManager()
-        manager.videos.add("a.mp4", 10.0)
-        manager.videos.add("b.mp4", 12.0)
-        manager.labels.add(Label(0, 0.0, 1.0, "walk"))
-        manager.save(tmp_path)
-
-        loaded = StorageManager.load(tmp_path)
-        assert len(loaded.videos) == 2
-        assert len(loaded.labels) == 1
-        assert loaded.videos.get(1).path == "b.mp4"
-        assert loaded.features.extractors() == []
 
 
 class TestLatestVersion:

@@ -33,7 +33,15 @@ class TestVideoStore:
         store = VideoStore()
         record = store.add("a.mp4", 10.0)
         assert record.vid in store
+        assert np.int64(record.vid) in store
         assert 99 not in store
+        assert -1 not in store
+
+    def test_get_negative_vid_raises(self):
+        store = VideoStore()
+        store.add("a.mp4", 10.0)
+        with pytest.raises(UnknownVideoError):
+            store.get(-1)
 
     def test_add_records_assigns_fresh_vids(self):
         store = VideoStore()
@@ -60,36 +68,3 @@ class TestVideoStore:
 
     def test_total_duration_empty(self):
         assert VideoStore().total_duration() == 0.0
-
-    def test_sample_vids_excludes_and_dedupes(self):
-        store = VideoStore()
-        for i in range(10):
-            store.add(f"{i}.mp4", 10.0)
-        rng = np.random.default_rng(0)
-        sample = store.sample_vids(5, rng, exclude=[0, 1, 2])
-        assert len(sample) == 5
-        assert len(set(sample)) == 5
-        assert not set(sample) & {0, 1, 2}
-
-    def test_sample_more_than_available(self):
-        store = VideoStore()
-        store.add("a.mp4", 10.0)
-        rng = np.random.default_rng(0)
-        assert store.sample_vids(5, rng) == [0]
-
-    def test_sample_when_everything_excluded(self):
-        store = VideoStore()
-        store.add("a.mp4", 10.0)
-        rng = np.random.default_rng(0)
-        assert store.sample_vids(3, rng, exclude=[0]) == []
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        store = VideoStore()
-        store.add("a.mp4", 10.0, start_time=1.0, fps=30.0)
-        store.add("b.mp4", 20.0, start_time=2.0, fps=24.0)
-        store.save(tmp_path)
-        loaded = VideoStore.load(tmp_path)
-        assert len(loaded) == 2
-        assert loaded.get(1).path == "b.mp4"
-        # New vids continue after the loaded maximum.
-        assert loaded.add("c.mp4", 5.0).vid == 2
