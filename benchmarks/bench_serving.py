@@ -61,6 +61,7 @@ from repro.config import ServingConfig
 from repro.datasets.synthetic import DatasetSpec, generate_dataset
 from repro.exceptions import AdmissionError
 from repro.serving import (
+    REQUEST_CLASSES,
     CorpusSessionFactory,
     LocalSessionAdapter,
     RemoteSessionAdapter,
@@ -71,7 +72,8 @@ from repro.serving import (
     SessionManager,
     session_fingerprint,
 )
-from repro.telemetry.slo import RequestClassAccountant
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.slo import format_request_class, record_request, request_summary
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +85,8 @@ _CHAOS_DIR = Path(__file__).resolve().parent.parent / "tests" / "serving"
 MAX_RSS_RATIO = 1.5
 #: Generous per-class budgets (wall seconds) so every class gets verdicts.
 BUDGETS = {"explore_slo_s": 5.0, "label_slo_s": 5.0, "search_slo_s": 5.0, "predict_slo_s": 5.0}
+#: The same budgets keyed by request class, for the client-side roll-up.
+CLASS_BUDGETS = ServingConfig(**BUDGETS).budgets()
 #: Saturation: offered load where more than this fraction of requests is shed.
 MAX_SHED_FRACTION = 0.05
 CANDIDATES = ("r3d", "mvit")
@@ -134,14 +138,17 @@ class PoissonReplay:
     exponential process; each request's latency runs from its *scheduled*
     arrival to its completion, so time spent queueing behind a busy server is
     charged to the request.  Shed requests (``AdmissionError``) are retried —
-    the script's state must advance — with every shed counted.
+    the script's state must advance — with every shed counted.  Latencies
+    are recorded in ``metrics``, the same way the server records its own.
     """
 
-    def __init__(self, user: ScriptedUser, rate_hz: float, accountant, seed: int) -> None:
+    def __init__(
+        self, user: ScriptedUser, rate_hz: float, metrics: MetricsRegistry, seed: int
+    ) -> None:
         import numpy as np
 
         self.user = user
-        self.accountant = accountant
+        self.metrics = metrics
         rng = np.random.default_rng(zlib.crc32(f"arrivals:{seed}:{user.name}".encode()) & 0x7FFFFFFF)
         gaps = rng.exponential(1.0 / rate_hz, size=len(user.steps))
         self.offsets = list(gaps.cumsum())
@@ -163,19 +170,19 @@ class PoissonReplay:
             request_class = _op_class(self.user.steps[index]["op"])
             if request_class is not None:
                 latency = time.perf_counter() - scheduled
-                self.accountant.observe(request_class, latency)
+                record_request(
+                    self.metrics, request_class, latency, CLASS_BUDGETS.get(request_class)
+                )
 
 
 def replay_sessions(host, port, dataset, names, base_seed, cycles, rate_hz):
     """Drive every named session concurrently; returns the replay telemetry."""
-    accountant = RequestClassAccountant(
-        {key.replace("_slo_s", ""): value for key, value in BUDGETS.items()}
-    )
+    metrics = MetricsRegistry()
     users = {
         name: ScriptedUser(name, base_seed + index, dataset.class_names, cycles=cycles)
         for index, name in enumerate(names)
     }
-    replays = {name: PoissonReplay(users[name], rate_hz, accountant, base_seed) for name in names}
+    replays = {name: PoissonReplay(users[name], rate_hz, metrics, base_seed) for name in names}
     errors: list[tuple[str, BaseException]] = []
 
     # Open every session serially first: session creation is control-plane
@@ -202,10 +209,11 @@ def replay_sessions(host, port, dataset, names, base_seed, cycles, rate_hz):
     if errors:
         raise RuntimeError(f"replay failed: {errors[:3]}")
     span = time.perf_counter() - start
-    requests = accountant.requests
+    summary = request_summary(metrics, REQUEST_CLASSES, CLASS_BUDGETS)
+    requests = summary["requests"]
     return {
         "users": users,
-        "summary": accountant.summary(),
+        "summary": summary,
         "sheds": sum(replay.sheds for replay in replays.values()),
         "requests": requests,
         "span_s": span,
@@ -680,13 +688,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("explore", "label", "search", "predict")
     )
     logger.info("per-class SLO accounting (open-loop latency, from scheduled arrival):")
-    for name in ("explore", "label", "search", "predict"):
-        doc = classes.get(name, {})
-        logger.info(
-            f"  {name}: n={doc.get('count', 0)} p50={doc.get('p50_s', 0) * 1e3:.1f}ms "
-            f"p99={doc.get('p99_s', 0) * 1e3:.1f}ms p999={doc.get('p999_s', 0) * 1e3:.1f}ms "
-            f"violations={doc.get('violations', 0)}/budget {doc.get('budget_s')}s"
-        )
+    for name in REQUEST_CLASSES:
+        logger.info(f"  {format_request_class(classes[name])}")
     if not complete:
         failures += 1
 

@@ -6,7 +6,7 @@ pinning the properties the ``repro.index`` subsystem promises:
 * **IVF recall** — recall@10 of ``IVFFlatIndex`` at its default ``nprobe``
   must be >= 0.9 against the ``ExactIndex`` oracle;
 * **IVF speedup** — batched search must be >= 5x faster than ``ExactIndex``
-  at 100k stored vectors (the sub-linear claim; LSH is reported alongside);
+  at 100k stored vectors (the sub-linear claim);
 * **exact-path parity** — Coreset and Cluster-Margin selections routed
   through ``ExactIndex`` must be bit-identical to the pre-PR brute-force
   implementations (replicated inline below, like the row-at-a-time store in
@@ -32,7 +32,7 @@ import numpy as np
 from repro import telemetry
 from repro.alm.acquisition import AcquisitionContext, ClusterMarginAcquisition, CoresetAcquisition
 from repro.alm.clustering import _init_centroids, kmeans
-from repro.index import ExactIndex, IVFFlatIndex, LSHIndex
+from repro.index import ExactIndex, IVFFlatIndex
 from repro.types import ClipSpec
 
 logger = logging.getLogger(__name__)
@@ -88,11 +88,6 @@ def run_size(num_vectors: int, dim: int, num_queries: int, seed: int = 0) -> dic
     ivf_d, ivf_i = ivf.search(queries, K)
     ivf_time = timed(lambda: ivf.search(queries, K))
 
-    lsh = LSHIndex(seed=seed)
-    lsh.build(vectors)
-    lsh_i = lsh.search(queries, K)[1]
-    lsh_time = timed(lambda: lsh.search(queries, K))
-
     return {
         "num_vectors": num_vectors,
         "num_queries": num_queries,
@@ -102,8 +97,6 @@ def run_size(num_vectors: int, dim: int, num_queries: int, seed: int = 0) -> dic
         "ivf_recall": recall_at_k(ivf_i, truth_i),
         "ivf_nlist": ivf.effective_nlist,
         "ivf_nprobe": ivf.nprobe,
-        "lsh_time": lsh_time,
-        "lsh_recall": recall_at_k(lsh_i, truth_i),
     }
 
 
@@ -249,18 +242,13 @@ def report(rows: list[dict]) -> None:
             f"{row['num_vectors']:>10,} {row['num_queries']:>8,} {'exact':<10} "
             f"{1.0:>10.3f} {base * 1e3:>8.1f}ms {1.0:>7.1f}x"
         )
-        for backend in ("ivf", "lsh"):
-            extra = (
-                f"   (nlist={row['ivf_nlist']}, nprobe={row['ivf_nprobe']}, "
-                f"build={row['ivf_build']:.1f}s)"
-                if backend == "ivf"
-                else ""
-            )
-            logger.info(
-                f"{'':>10} {'':>8} {backend:<10} {row[f'{backend}_recall']:>10.3f} "
-                f"{row[f'{backend}_time'] * 1e3:>8.1f}ms "
-                f"{base / max(row[f'{backend}_time'], 1e-12):>7.1f}x{extra}"
-            )
+        logger.info(
+            f"{'':>10} {'':>8} {'ivf':<10} {row['ivf_recall']:>10.3f} "
+            f"{row['ivf_time'] * 1e3:>8.1f}ms "
+            f"{base / max(row['ivf_time'], 1e-12):>7.1f}x"
+            f"   (nlist={row['ivf_nlist']}, nprobe={row['ivf_nprobe']}, "
+            f"build={row['ivf_build']:.1f}s)"
+        )
 
 
 def main() -> int:

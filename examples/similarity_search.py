@@ -2,10 +2,9 @@
 
 This example builds the synthetic "deer" dataset and uses the new
 ``VOCALExplore.search`` API to retrieve the clips most similar to a query
-clip.  It runs the same query through all three vector-index backends
-(``exact`` — the brute-force oracle, ``ivf-flat`` — inverted lists behind a
-k-means coarse quantizer, and ``lsh`` — random-hyperplane signatures) and
-prints how much simulated latency each search charged, illustrating the
+clip.  It runs the same query through both vector-index backends
+(``exact`` — the brute-force oracle, and ``ivf-flat`` — inverted lists behind
+a k-means coarse quantizer) and prints how much simulated latency each search charged, illustrating the
 recall/latency trade-off the index subsystem exposes.
 
 Run with::
@@ -36,7 +35,7 @@ def main() -> None:
     )
 
     exact_hits = None
-    for backend in ("exact", "ivf-flat", "lsh"):
+    for backend in ("exact", "ivf-flat"):
         vocal, hits = run_backend(dataset, backend, query)
         if backend == "exact":
             exact_hits = {(h.vid, h.start, h.end) for h in hits}

@@ -74,8 +74,8 @@ def _assign(
     directly with the hoisted point norms — exactly what ``ExactIndex`` would
     compute, minus a per-iteration index build and norm recomputation.  ANN
     backends build an index over the centroids; they may return the -1/inf
-    no-neighbour sentinel (e.g. an LSH query whose buckets are all empty), and
-    every point must have an assignment, so misses fall back to the exact
+    no-neighbour sentinel (e.g. an IVF query whose probed cells are all empty),
+    and every point must have an assignment, so misses fall back to the exact
     kernel.
     """
     if canonical_backend(index_backend) == "exact":

@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--end", type=float, default=1.0)
     search.add_argument("-k", "--k", type=int, default=5, help="number of neighbours")
     search.add_argument(
-        "--backend", choices=("exact", "ivf-flat", "lsh"), default="exact",
+        "--backend", choices=("exact", "ivf-flat"), default="exact",
         help="vector-index backend (repro.index)",
     )
     search.add_argument(
@@ -366,6 +366,7 @@ def _run_serve(args: argparse.Namespace) -> str:
     from .config import ServingConfig
     from .datasets.catalog import build_dataset
     from .serving import CorpusSessionFactory, SessionManager, ServerThread
+    from .telemetry.slo import format_request_class
 
     serving = ServingConfig(
         host=args.host,
@@ -406,7 +407,7 @@ def _run_serve(args: argparse.Namespace) -> str:
     finally:
         thread.stop()
     stats = manager.stats()
-    slo = thread.server.accountant.summary()
+    slo = thread.server.slo_summary()
     lines = [
         "server stopped; every session checkpointed",
         f"requests served: {slo['requests']} ({slo['violations']} SLO violations)",
@@ -414,12 +415,9 @@ def _run_serve(args: argparse.Namespace) -> str:
         f"(creates {stats['creates']}, restores {stats['restores']}, "
         f"evictions {stats['evictions']})",
     ]
-    for name, doc in slo["classes"].items():
+    for doc in slo["classes"].values():
         if doc["count"]:
-            lines.append(
-                f"  {name}: n={doc['count']} p50={doc['p50_s'] * 1e3:.1f}ms "
-                f"p99={doc['p99_s'] * 1e3:.1f}ms violations={doc['violations']}"
-            )
+            lines.append(f"  {format_request_class(doc)}")
     return "\n".join(lines)
 
 

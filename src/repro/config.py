@@ -221,12 +221,11 @@ class ExploreConfig:
 class IndexConfig:
     """Vector-index subsystem (``repro.index``) used for nearest-neighbour math.
 
-    The exact backend reproduces brute-force results bit-for-bit; the ANN
-    backends trade recall for sub-linear search over large candidate pools.
+    The exact backend reproduces brute-force results bit-for-bit; the IVF
+    backend trades recall for sub-linear search over large candidate pools.
     """
 
-    #: Index backend: "exact" (default, the correctness oracle), "ivf-flat",
-    #: or "lsh".
+    #: Index backend: "exact" (default, the correctness oracle) or "ivf-flat".
     backend: str = "exact"
     #: IVF coarse-cell count; None derives ``round(sqrt(n))`` at build time.
     nlist: int | None = None
@@ -235,12 +234,9 @@ class IndexConfig:
     #: IVF re-trains once incremental adds exceed this fraction of the
     #: trained size.
     retrain_factor: float = 0.5
-    #: LSH hash tables and signature bits per table.
-    lsh_tables: int = 8
-    lsh_bits: int = 12
 
     def __post_init__(self) -> None:
-        if self.backend not in ("exact", "ivf-flat", "lsh"):
+        if self.backend not in ("exact", "ivf-flat"):
             raise ValueError(f"unknown index backend {self.backend!r}")
         if self.nlist is not None and self.nlist < 1:
             raise ValueError("nlist must be >= 1")
@@ -248,10 +244,6 @@ class IndexConfig:
             raise ValueError("nprobe must be >= 1")
         if self.retrain_factor <= 0:
             raise ValueError("retrain_factor must be > 0")
-        if self.lsh_tables < 1:
-            raise ValueError("lsh_tables must be >= 1")
-        if not 1 <= self.lsh_bits <= 62:
-            raise ValueError("lsh_bits must be in [1, 62]")
 
     def params(self) -> dict[str, Any]:
         """Constructor kwargs for ``repro.index.build_index`` (seed excluded)."""
@@ -261,8 +253,6 @@ class IndexConfig:
                 "nprobe": self.nprobe,
                 "retrain_factor": self.retrain_factor,
             }
-        if self.backend == "lsh":
-            return {"num_tables": self.lsh_tables, "num_bits": self.lsh_bits}
         return {}
 
 
@@ -374,23 +364,19 @@ class ServingConfig:
 
     def budgets(self) -> dict[str, float]:
         """Per-request-class budget mapping (unbudgeted classes omitted)."""
-        pairs = {
-            "explore": self.explore_slo_s,
-            "label": self.label_slo_s,
-            "search": self.search_slo_s,
-            "predict": self.predict_slo_s,
-        }
-        return {name: budget for name, budget in pairs.items() if budget is not None}
+        return self._per_class("slo_s")
 
     def deadlines(self) -> dict[str, float]:
         """Per-request-class deadline mapping (undeadlined classes omitted)."""
-        pairs = {
-            "explore": self.explore_deadline_s,
-            "label": self.label_deadline_s,
-            "search": self.search_deadline_s,
-            "predict": self.predict_deadline_s,
+        return self._per_class("deadline_s")
+
+    def _per_class(self, suffix: str) -> dict[str, float]:
+        """The ``<class>_<suffix>`` fields that are set, keyed by request class."""
+        values = {
+            name: getattr(self, f"{name}_{suffix}")
+            for name in ("explore", "label", "search", "predict")
         }
-        return {name: deadline for name, deadline in pairs.items() if deadline is not None}
+        return {name: value for name, value in values.items() if value is not None}
 
 
 @dataclass(frozen=True)

@@ -581,12 +581,14 @@ def restore_snapshot_files(session: "ExplorationSession", directory: Path) -> di
         shards,
         dims,
         epochs={fid: int(epoch) for fid, epoch in features_meta["epochs"].items()},
+        # Pending specs name extractors with no shard yet, so the store
+        # holds them aside again; every spec's backend is checked first.
         index_specs={
-            fid: (spec[0], spec[1]) for fid, spec in features_meta["index_specs"].items()
+            fid: (spec[0], spec[1])
+            for section in ("pending_index", "index_specs")
+            for fid, spec in features_meta[section].items()
         },
     )
-    for fid, spec in features_meta["pending_index"].items():
-        storage.features._pending_index[fid] = (spec[0], dict(spec[1]))
     _restore_registry(session, state["registry"], arrays)
     _restore_models(session, state["models"], arrays)
 

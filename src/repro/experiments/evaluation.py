@@ -9,8 +9,6 @@ and scores any trained model against the full vocabulary.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..datasets.synthetic import Dataset
@@ -82,16 +80,4 @@ class ModelEvaluator:
         if not model_manager.has_model(feature_name):
             return 0.0
         model, __ = model_manager.latest_model(feature_name)
-        return self.evaluate_model(model, feature_name)
-
-    def train_and_evaluate(
-        self,
-        features: np.ndarray,
-        labels: Sequence[str],
-        feature_name: str,
-        l2_regularization: float = 1e-2,
-    ) -> float:
-        """Convenience: train a fresh probe on given examples and score it."""
-        model = SoftmaxRegression(self.vocabulary, l2_regularization=l2_regularization)
-        model.fit(features, list(labels))
         return self.evaluate_model(model, feature_name)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..storage.feature_store import FeatureStore
 from ..storage.video_store import VideoStore
-from ..types import ClipSpec, FeatureVector
+from ..types import ClipSpec
 from ..video.decoder import Decoder
 from ..video.sampler import ClipSampler
 from .extractor import ExtractorRegistry, FeatureExtractor
@@ -229,16 +229,3 @@ class FeatureManager:
         """Videos that already have at least one stored window for ``fid``."""
         with self._lock:
             return self.store.vids_with_features(fid)
-
-    def feature_vectors_for(self, fid: str, vid: int) -> list[FeatureVector]:
-        """All stored vectors of one video for one extractor."""
-        with self._lock:
-            clips = self.store.clips_for(fid, vid)
-            if not clips:
-                return []
-            vectors = self.store.get_many(fid, clips)
-        return [
-            FeatureVector(fid=fid, vid=clip.vid, start=clip.start, end=clip.end,
-                          vector=vector)
-            for clip, vector in zip(clips, vectors)
-        ]

@@ -1,11 +1,10 @@
 """Pluggable vector-index subsystem (sub-linear nearest-neighbour search).
 
-Three backends behind one :class:`VectorIndex` API:
+Two backends behind one :class:`VectorIndex` API:
 
 * :class:`ExactIndex` — norm-expansion brute force; the correctness oracle.
 * :class:`IVFFlatIndex` — k-means coarse quantizer + inverted lists with an
   ``nprobe`` knob; incremental adds with periodic re-training.
-* :class:`LSHIndex` — random-hyperplane signatures with exact re-ranking.
 
 All pure numpy, batched, and deterministic under a seeded RNG.  The shared
 distance kernel lives in :mod:`repro.index.distances` and is also imported by
@@ -23,13 +22,11 @@ from .base import (
 from .distances import pairwise_sq_distances, squared_norms
 from .exact import ExactIndex
 from .ivf_flat import IVFFlatIndex
-from .lsh import LSHIndex
 
 __all__ = [
     "VectorIndex",
     "ExactIndex",
     "IVFFlatIndex",
-    "LSHIndex",
     "build_index",
     "canonical_backend",
     "index_backends",

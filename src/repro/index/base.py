@@ -51,8 +51,17 @@ def index_backends() -> list[str]:
 
 
 def canonical_backend(backend: str) -> str:
-    """Resolve a backend alias ("ivf", "flat", ...) to its canonical name."""
-    return _ALIASES.get(backend, backend)
+    """Resolve a backend alias ("ivf", "flat", ...) to its registered name.
+
+    Raises:
+        VectorIndexError: when no registered backend has that name.
+    """
+    canonical = _ALIASES.get(backend, backend)
+    if canonical not in _BACKENDS:
+        raise VectorIndexError(
+            f"unknown index backend {backend!r}; known: {index_backends()}"
+        )
+    return canonical
 
 
 def build_index(backend: str, **params: Any) -> "VectorIndex":
@@ -61,13 +70,7 @@ def build_index(backend: str, **params: Any) -> "VectorIndex":
     Raises:
         VectorIndexError: when the backend name is unknown.
     """
-    canonical = _ALIASES.get(backend, backend)
-    cls = _BACKENDS.get(canonical)
-    if cls is None:
-        raise VectorIndexError(
-            f"unknown index backend {backend!r}; known: {index_backends()}"
-        )
-    return cls(**params)
+    return _BACKENDS[canonical_backend(backend)](**params)
 
 
 def as_matrix(vectors: np.ndarray, dim: int | None = None) -> np.ndarray:

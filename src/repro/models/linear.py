@@ -221,16 +221,6 @@ class SoftmaxRegression:
         indices = probabilities.argmax(axis=1)
         return [self.classes[int(i)] for i in indices]
 
-    def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        """Raw (pre-softmax) scores; useful for margin-based acquisition."""
-        if not self.is_fitted:
-            raise NotFittedError("model has not been trained")
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features[None, :]
-        standardized = (features - self._feature_mean) / self._feature_scale
-        return standardized @ self._weights + self._bias
-
     # -------------------------------------------------------------- warm start
     def initial_parameters_for(
         self,

@@ -20,9 +20,9 @@ The paper's system is a single-user exploration loop: one process, one
 * **Server** (:mod:`.server`): an ``asyncio`` front door that executes
   session work on a worker pool, sheds load beyond a configured queue depth,
   enforces per-request-class deadlines through cooperative scheduler
-  preemption, drains gracefully on shutdown, and threads every request
-  through per-request-class SLO accounting
-  (:class:`repro.telemetry.slo.RequestClassAccountant`).
+  preemption, drains gracefully on shutdown, and records every request
+  once in the manager's metrics registry — the serving tier's one ledger
+  (:func:`repro.telemetry.slo.record_request`).
 * **Client** (:mod:`.client`): a thin blocking socket client used by the CLI,
   the tests, and ``benchmarks/bench_serving.py`` — with broken-connection
   tracking, automatic reconnect, jittered-backoff retries, and idempotency

@@ -192,7 +192,6 @@ class SessionManager:
         factory: CorpusSessionFactory,
         max_resident: int = 8,
         max_sessions: int = 0,
-        metrics: MetricsRegistry | None = None,
         max_overshoot: int | None = None,
     ) -> None:
         """Create a manager.
@@ -203,8 +202,6 @@ class SessionManager:
                 one more evicts the least-recently-used idle session first.
             max_sessions: Total named sessions admitted, resident or paged
                 out (0 = unbounded).
-            metrics: Registry receiving lifecycle counters; a private one is
-                created when omitted.
             max_overshoot: Extra residents tolerated when nothing is
                 evictable (every resident session pinned or mid-iteration).
                 ``None`` (default) admits unboundedly in that case; an
@@ -225,21 +222,13 @@ class SessionManager:
         self.max_resident = int(max_resident)
         self.max_sessions = int(max_sessions)
         self.max_overshoot = None if max_overshoot is None else int(max_overshoot)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The serving ledger: lifecycle counters here, and the server's
+        #: per-request latency histograms and counters.
+        self.metrics = MetricsRegistry()
         self._resident: dict[str, ResidentSession] = {}
         self._lock = threading.Lock()
         self._use_counter = itertools.count(1)
         self._closed = False
-        # Lifecycle tallies (mirrored into the metrics registry).
-        self._creates = 0
-        self._restores = 0
-        self._evictions = 0
-        self._overshoots = 0
-        self._residency_sheds = 0
-        self._recovered_labels = 0
-        self._quarantines = 0
-        self._rollbacks = 0
-        self._rollback_failures = 0
         # Idempotency-token registry for exactly-once label application.
         # Keyed at the manager (not the resident entry) so cached acks
         # survive eviction; a dedicated leaf lock keeps the registry out of
@@ -356,7 +345,8 @@ class SessionManager:
         * a :class:`~repro.exceptions.DeadlineExceededError` passes through
           typed, after rolling the session back when the cancelled work had
           already mutated state (a deadline parked at a boundary before any
-          mutation needs no rollback);
+          mutation needs no rollback).  Such a rollback counts under
+          ``deadline_rollbacks``, not ``quarantines``: the session is healthy;
         * a :class:`~repro.exceptions.ReproError` that left the state probe
           unchanged passes through (a clean pre-mutation failure, e.g.
           finishing an iteration that is not open);
@@ -374,7 +364,9 @@ class SessionManager:
                 raise
             except DeadlineExceededError:
                 if self._state_probe(entry.vocal) != probe:
-                    self._rollback(entry, "deadline cancelled mid-mutation")
+                    self._rollback(
+                        entry, "deadline cancelled mid-mutation", "serving.deadline_rollbacks"
+                    )
                 raise
             except ReproError as exc:
                 if self._state_probe(entry.vocal) == probe:
@@ -385,22 +377,31 @@ class SessionManager:
                 report = self._rollback(entry, f"{type(exc).__name__}: {exc}")
                 raise SessionQuarantinedError(report) from exc
 
-    def _rollback(self, entry: ResidentSession, cause: str) -> str:
+    def _rollback(
+        self,
+        entry: ResidentSession,
+        cause: str,
+        counter: str = "serving.session_quarantines",
+    ) -> str:
         """Replace a suspect instance with one rebuilt from durable state.
 
-        Runs holding only ``entry.lock``.  The old instance is closed first
+        ``counter`` says why: a quarantine (the default), or a typed deadline
+        that cancelled work mid-mutation (``serving.deadline_rollbacks``; the
+        session is healthy, so it is counted apart).  A rollback that fails
+        ends the request as a quarantine, so it also counts under
+        ``serving.session_quarantines`` whatever ``counter`` was.  Runs
+        holding only ``entry.lock``.  The old instance is closed first
         (best-effort — it releases the journal handle so the rebuilt one is
         the only writer), then the factory rebuilds the session and
-        ``resume()`` restores the last snapshot plus the acked journal tail
-        (PR 5's bit-identical guarantee).  Returns a recovery report string;
-        when the rollback itself fails, the entry is *poisoned* — its state
-        is never checkpointed again and the instance is discarded and
-        rebuilt from disk on a later request.  Never touches the manager
-        lock (lock order is ``_lock`` before ``entry.lock``).
+        ``resume()`` restores the last snapshot plus the acked journal tail,
+        bit-identically.  Returns a recovery report string; when the
+        rollback itself fails, the entry is *poisoned* — its state is never
+        checkpointed again and the instance is discarded and rebuilt from
+        disk on a later request.  Never touches the manager lock (lock order is ``_lock`` before
+        ``entry.lock``).
         """
-        self._quarantines += 1
-        self.metrics.counter("serving.session_quarantines").add(1)
-        logger.warning("session %s quarantined: %s", entry.name, cause)
+        self.metrics.counter(counter).add(1)
+        logger.warning("session %s rolled back: %s", entry.name, cause)
         try:
             entry.vocal.close()
         except Exception:
@@ -410,8 +411,9 @@ class SessionManager:
             report = self._restore(entry.name, fresh)
         except Exception as rollback_exc:
             entry.poisoned = True
-            self._rollback_failures += 1
             self.metrics.counter("serving.session_rollback_failures").add(1)
+            if counter != "serving.session_quarantines":
+                self.metrics.counter("serving.session_quarantines").add(1)
             logger.exception("session %s: rollback failed; entry poisoned", entry.name)
             raise SessionQuarantinedError(
                 f"session {entry.name!r} quarantined after: {cause}; the "
@@ -421,7 +423,6 @@ class SessionManager:
                 "durable checkpoint on a later request; retry"
             ) from rollback_exc
         entry.vocal = fresh
-        self._rollbacks += 1
         self.metrics.counter("serving.session_rollbacks").add(1)
         session = fresh.session
         return (
@@ -475,10 +476,8 @@ class SessionManager:
         vocal = self.factory.build(name)
         if existed:
             self._restore(name, vocal)
-            self._restores += 1
             self.metrics.counter("serving.session_restores").add(1)
         else:
-            self._creates += 1
             self.metrics.counter("serving.session_creates").add(1)
         entry = ResidentSession(name, vocal)
         entry.last_used = next(self._use_counter)
@@ -502,7 +501,6 @@ class SessionManager:
         if report.tail_labels:
             vocal.session.add_labels(report.tail_labels)
             vocal.checkpoint()
-            self._recovered_labels += len(report.tail_labels)
             self.metrics.counter("serving.recovered_tail_labels").add(
                 len(report.tail_labels)
             )
@@ -543,7 +541,6 @@ class SessionManager:
                     self.max_overshoot is not None
                     and len(self._resident) >= self.max_resident + self.max_overshoot
                 ):
-                    self._residency_sheds += 1
                     self.metrics.counter("serving.residency_sheds").add(1)
                     raise AdmissionError(
                         f"no evictable session (resident={len(self._resident)}, "
@@ -553,7 +550,6 @@ class SessionManager:
                 # Otherwise admit anyway (temporary overshoot) rather than
                 # deadlock — the next idle boundary brings the count back
                 # under the cap.
-                self._overshoots += 1
                 self.metrics.counter("serving.eviction_overshoots").add(1)
                 logger.warning(
                     "no evictable session (resident=%d, cap=%d); overshooting",
@@ -591,7 +587,6 @@ class SessionManager:
         # checkpoint write, and this keeps memory release as deterministic
         # as the eviction itself.
         gc.collect()
-        self._evictions += 1
         self.metrics.counter("serving.session_evictions").add(1)
         self.metrics.gauge("serving.resident_sessions").set(len(self._resident))
         logger.info("evicted session %s to disk", entry.name)
@@ -617,24 +612,6 @@ class SessionManager:
             self._evict_locked(entry)
 
     # ---------------------------------------------------------------- lifecycle
-    def checkpoint_all(self) -> int:
-        """Snapshot every resident session (open iterations are finished first).
-
-        Used by graceful server shutdown so a restarted server recovers every
-        session from its latest state.  Returns the number checkpointed.
-        """
-        count = 0
-        with self._lock:
-            for entry in self._resident.values():
-                with entry.lock:
-                    if entry.poisoned:
-                        continue  # untrusted state must never be checkpointed
-                    if entry.vocal.session.iteration_open:
-                        entry.vocal.finish_iteration()
-                    entry.vocal.checkpoint()
-                    count += 1
-        return count
-
     def close(self) -> None:
         """Checkpoint and release every resident session (idempotent)."""
         with self._lock:
@@ -678,8 +655,22 @@ class SessionManager:
                 for entry in sorted(self._resident.values(), key=lambda e: e.last_used)
             ]
 
+    #: ``stats()`` key -> the registry counter it reads.
+    _STATS_COUNTERS = {
+        "creates": "serving.session_creates",
+        "restores": "serving.session_restores",
+        "evictions": "serving.session_evictions",
+        "eviction_overshoots": "serving.eviction_overshoots",
+        "residency_sheds": "serving.residency_sheds",
+        "recovered_tail_labels": "serving.recovered_tail_labels",
+        "quarantines": "serving.session_quarantines",
+        "deadline_rollbacks": "serving.deadline_rollbacks",
+        "rollbacks": "serving.session_rollbacks",
+        "rollback_failures": "serving.session_rollback_failures",
+    }
+
     def stats(self) -> dict:
-        """Lifecycle counters and per-resident-session detail."""
+        """Lifecycle counters from :attr:`metrics` and per-resident-session detail."""
         with self._lock:
             resident = [
                 {
@@ -698,13 +689,8 @@ class SessionManager:
                 "max_resident": self.max_resident,
                 "max_sessions": self.max_sessions,
                 "sessions_on_disk": len(self.factory.list_sessions()),
-                "creates": self._creates,
-                "restores": self._restores,
-                "evictions": self._evictions,
-                "eviction_overshoots": self._overshoots,
-                "residency_sheds": self._residency_sheds,
-                "recovered_tail_labels": self._recovered_labels,
-                "quarantines": self._quarantines,
-                "rollbacks": self._rollbacks,
-                "rollback_failures": self._rollback_failures,
+                **{
+                    key: int(self.metrics.counter(name).value)
+                    for key, name in self._STATS_COUNTERS.items()
+                },
             }

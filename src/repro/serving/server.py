@@ -15,10 +15,13 @@ extraction.  Concurrency model:
   returned immediately instead of queuing without bound.
 
 Every SLO-classed request (explore / label / search / predict) is timed from
-receipt to response and folded into a
-:class:`~repro.telemetry.slo.RequestClassAccountant`, whose per-class
-p50/p99/p999 roll-up is served by the ``stats`` operation and written into
-``BENCH_serving.json`` by the serving benchmark.
+receipt to response and recorded once, in the session manager's
+:class:`~repro.telemetry.metrics.MetricsRegistry`: a bounded latency
+histogram plus request, outcome and violation counters per class
+(:func:`~repro.telemetry.slo.record_request`).  The ``stats`` operation reads
+its per-class p50/p99/p999 roll-up back out of that registry.  One clock,
+injectable through the constructor, times each request and starts each
+request's :class:`~repro.serving.resilience.Deadline`.
 
 :class:`ServerThread` runs the whole server on a private event loop in a
 daemon thread — the test suite, the CLI, and the benchmark all use it to
@@ -32,7 +35,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -44,13 +47,14 @@ from ..exceptions import (
     ServingError,
     SessionQuarantinedError,
 )
-from ..telemetry.slo import RequestClassAccountant
+from ..telemetry.slo import record_request, request_summary
 from ..types import Label
 from .manager import SessionManager
 from .resilience import Deadline
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    REQUEST_CLASSES,
     decode_line,
     encode_message,
     error_response,
@@ -126,17 +130,26 @@ def _parse_labels(doc: Mapping[str, Any]) -> list[Label]:
 class ExploreServer:
     """Serves many exploration sessions over newline-delimited JSON."""
 
-    def __init__(self, manager: SessionManager, config: ServingConfig | None = None) -> None:
+    def __init__(
+        self,
+        manager: SessionManager,
+        config: ServingConfig | None = None,
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> None:
         """Create a server over one session manager.
 
         Args:
-            manager: Hosts the sessions (admission, LRU eviction, restore).
+            manager: Hosts the sessions (admission, LRU eviction, restore);
+                its metrics registry is the server's only request ledger.
             config: Listen address, worker pool, queue depth, SLO budgets.
+            clock: Monotonic seconds; times each request and starts each
+                request's deadline (injectable for tests).
         """
         self.manager = manager
         self.config = config if config is not None else ServingConfig()
-        self.accountant = RequestClassAccountant(self.config.budgets())
         self.metrics = manager.metrics
+        self._clock = clock
+        self._budgets = self.config.budgets()
         self._deadlines = self.config.deadlines()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.worker_threads, thread_name_prefix="serving"
@@ -288,9 +301,11 @@ class ExploreServer:
         slo_class = request_class(op)
         budget = self._deadlines.get(slo_class) if slo_class is not None else None
         deadline = (
-            Deadline(budget, request_class=slo_class) if budget is not None else None
+            Deadline(budget, request_class=slo_class, clock=self._clock)
+            if budget is not None
+            else None
         )
-        started = time.perf_counter()
+        started = self._clock()
         self._inflight += 1
         outcome = "ok"
         try:
@@ -302,7 +317,6 @@ class ExploreServer:
             self.metrics.counter("serving.request_errors").add(1)
             if isinstance(exc, DeadlineExceededError):
                 outcome = "deadline"
-                self.metrics.counter("serving.deadline_exceeded").add(1)
             elif isinstance(exc, SessionQuarantinedError):
                 outcome = "quarantine"
             else:
@@ -312,16 +326,13 @@ class ExploreServer:
             self._inflight -= 1
 
         if slo_class is not None:
-            verdict = self.accountant.observe(
-                slo_class, time.perf_counter() - started, outcome=outcome
-            )
-            self.metrics.histogram(f"serving.latency_s.{slo_class}").observe(
-                verdict.latency_s
-            )
-            self.metrics.counter(f"serving.requests.{slo_class}").add(1)
-            if verdict.violated:
-                self.metrics.counter(f"serving.slo_violations.{slo_class}").add(1)
+            elapsed = self._clock() - started
+            record_request(self.metrics, slo_class, elapsed, self._budgets.get(slo_class), outcome)
         return response, op == "shutdown" and response.get("ok", False)
+
+    def slo_summary(self) -> dict:
+        """Per-request-class SLO roll-up (the ``stats`` reply's ``slo`` block)."""
+        return request_summary(self.metrics, REQUEST_CLASSES, self._budgets)
 
     # ----------------------------------------------------------------- dispatch
     def _execute(
@@ -338,7 +349,7 @@ class ExploreServer:
         if op == "ping":
             return {"pong": True, "version": PROTOCOL_VERSION}
         if op == "stats":
-            return {"manager": self.manager.stats(), "slo": self.accountant.summary()}
+            return {"manager": self.manager.stats(), "slo": self.slo_summary()}
         if op == "shutdown":
             return {"stopping": True}
 
@@ -472,8 +483,13 @@ class ServerThread:
         thread.stop()
     """
 
-    def __init__(self, manager: SessionManager, config: ServingConfig | None = None) -> None:
-        self.server = ExploreServer(manager, config)
+    def __init__(
+        self,
+        manager: SessionManager,
+        config: ServingConfig | None = None,
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> None:
+        self.server = ExploreServer(manager, config, clock)
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None

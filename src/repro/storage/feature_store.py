@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import telemetry
 from ..exceptions import MissingFeatureError, StorageError
-from ..index import VectorIndex, build_index
+from ..index import VectorIndex, build_index, canonical_backend
 from ..types import ClipSpec, FeatureVector
 from .durability.codec import encode_array
 
@@ -689,7 +689,12 @@ class FeatureStore:
         never fabricates an extractor in :meth:`extractors` or the snapshot.
         Re-attaching the same spec is a no-op, so callers can attach
         unconditionally.
+
+        Raises:
+            VectorIndexError: when ``backend`` names no registered backend
+                (also when a journal replay attaches a deleted one).
         """
+        canonical_backend(backend)
         shard = self._shards.get(fid)
         if shard is not None:
             changed = shard._vindex_spec != (backend, dict(params))
@@ -772,9 +777,17 @@ class FeatureStore:
 
         ``shards`` maps each extractor to its ``(vids, starts, ends,
         vectors)`` columns, or None for an empty shard; ``dims`` carries the
-        dimensionality of empty shards.  Used by snapshot recovery, which
-        bundles every shard's columns into one archive.
+        dimensionality of empty shards.  ``index_specs`` maps extractors to
+        their ``(backend, params)``; a spec whose extractor has no shard is
+        held aside until the shard is created.  Used by snapshot recovery,
+        which bundles every shard's columns into one archive.
+
+        Raises:
+            VectorIndexError: when an index spec names no registered
+                backend; raised before any state is replaced.
         """
+        for backend, __ in (index_specs or {}).values():
+            canonical_backend(backend)
         self._shards = {}
         for fid, columns in shards.items():
             dim = dims.get(fid)
@@ -782,13 +795,6 @@ class FeatureStore:
             self._shards[fid] = shard
             if columns is not None:
                 shard.adopt_columns(*columns)
-        self._apply_restored_meta(epochs, index_specs)
-
-    def _apply_restored_meta(
-        self,
-        epochs: dict[str, int] | None,
-        index_specs: dict[str, tuple[str, dict]] | None,
-    ) -> None:
         self._pending_index = {}
         if index_specs:
             for fid, (backend, params) in index_specs.items():

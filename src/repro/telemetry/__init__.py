@@ -13,9 +13,11 @@ measurable from outside the process.  It has three parts:
   warm vs. cold fits, index search latency, journal fsync and snapshot
   durations, scheduler visible/background time per task kind.
 * **Exporters + SLO** (:mod:`.exporters`, :mod:`.slo`): a JSONL trace sink, a
-  Chrome ``chrome://tracing`` trace-event file, a human ``RunReport``, and
+  Chrome ``chrome://tracing`` trace-event file, a human ``RunReport``,
   per-iteration budget verdicts against
-  ``TelemetryConfig.visible_latency_slo_s``.
+  ``TelemetryConfig.visible_latency_slo_s``, and the serving tier's
+  per-request-class roll-up, recorded in and read back from one
+  :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
 Instrumented call sites go through the *module facade* defined here::
 
@@ -60,7 +62,13 @@ from .metrics import (
     MetricsRegistry,
 )
 from .runtime import TelemetryRun, active_run, shutdown, start_run
-from .slo import IterationSLO, RequestClassAccountant, RequestSLO, SLOAccountant
+from .slo import (
+    IterationSLO,
+    SLOAccountant,
+    format_request_class,
+    record_request,
+    request_summary,
+)
 from .tracing import NULL_SPAN, NullSpan, Span, TaskScope, Tracer
 
 __all__ = [
@@ -100,8 +108,9 @@ __all__ = [
     "COUNT_BUCKETS",
     "SLOAccountant",
     "IterationSLO",
-    "RequestClassAccountant",
-    "RequestSLO",
+    "record_request",
+    "request_summary",
+    "format_request_class",
     "JsonlTraceSink",
     "ChromeTraceSink",
     "MemorySink",

@@ -29,13 +29,10 @@ __all__ = [
 ]
 
 #: Default histogram boundaries (seconds): log-spaced from 10 microseconds to
-#: 10,000 simulated seconds, ~3 buckets per decade.
-DEFAULT_BUCKETS = (
-    1e-05, 2.5e-05, 5e-05, 1e-04, 2.5e-04, 5e-04,
-    1e-03, 2.5e-03, 5e-03, 1e-02, 2.5e-02, 5e-02,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-)
+#: 10,000 simulated seconds, 10 buckets per decade (91 bounds, 3 significant
+#: digits).  Each bucket spans a factor of 1.26, fine enough for the serving
+#: tier's per-class p50/p99 to come from the histogram alone.
+DEFAULT_BUCKETS = tuple(float(f"{10 ** (tenth / 10):.3g}") for tenth in range(-50, 41))
 
 #: Boundaries for count-valued histograms (e.g. index candidates per search).
 COUNT_BUCKETS = (

@@ -1,4 +1,4 @@
-"""Per-iteration SLO accounting over the scheduler's latency records.
+"""SLO accounting: per-iteration budget verdicts and served-request roll-ups.
 
 The paper's north-star metric is user-visible latency per Explore iteration
 (T_s); everything else is background work hidden behind the labeling window.
@@ -11,15 +11,31 @@ The accountant is duck-typed over the latency record (``iteration``,
 ``visible_latency``, ``background_time_used``, ``visible_by_kind``) so the
 telemetry package never imports the scheduler — avoiding an import cycle,
 since the scheduler itself is instrumented through the telemetry facade.
+
+Served requests keep no ledger of their own: :func:`record_request` writes
+each one into a :class:`~repro.telemetry.metrics.MetricsRegistry` (a bounded
+latency histogram plus request, outcome and violation counters per request
+class), :func:`request_summary` reads the per-class roll-up back out of the
+same registry, and :func:`format_request_class` renders one class as a line.
+The server, ``repro-vocal serve`` and the serving benchmark share all three.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
-__all__ = ["IterationSLO", "SLOAccountant", "RequestSLO", "RequestClassAccountant"]
+from .metrics import MetricsRegistry
+
+__all__ = [
+    "IterationSLO",
+    "OUTCOMES",
+    "SLOAccountant",
+    "record_request",
+    "request_summary",
+    "format_request_class",
+]
 
 
 @dataclass(frozen=True)
@@ -122,154 +138,79 @@ class SLOAccountant:
         }
 
 
-@dataclass(frozen=True)
-class RequestSLO:
-    """Budget verdict for one served request."""
-
-    #: SLO request class the request belongs to (explore/label/search/predict).
-    request_class: str
-    #: Wall-clock latency from receipt to response, in seconds.
-    latency_s: float
-    #: Declared per-class budget, or None when the class is unbudgeted.
-    budget_s: float | None
-    #: True when a budget exists and the request exceeded it.
-    violated: bool
-    #: Seconds over budget (0.0 when within budget or unbudgeted).
-    overshoot_s: float
-    #: How the request ended: "ok", "deadline", "quarantine", or "error".
-    outcome: str = "ok"
-
-    def to_record(self) -> dict:
-        """JSON-serialisable form written to trace sinks and stats replies."""
-        return {
-            "type": "request_slo",
-            "request_class": self.request_class,
-            "latency_s": self.latency_s,
-            "budget_s": self.budget_s,
-            "violated": self.violated,
-            "overshoot_s": self.overshoot_s,
-            "outcome": self.outcome,
-        }
+#: How a served request can end, in the order the roll-up lists them.
+OUTCOMES = ("ok", "deadline", "quarantine", "error")
 
 
-def _quantile(sorted_samples: list[float], q: float) -> float:
-    """Linear-interpolated quantile of pre-sorted samples (q in [0, 1])."""
-    if not sorted_samples:
-        return 0.0
-    position = q * (len(sorted_samples) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_samples) - 1)
-    fraction = position - low
-    return sorted_samples[low] * (1.0 - fraction) + sorted_samples[high] * fraction
+def record_request(
+    metrics: MetricsRegistry,
+    request_class: str,
+    latency_s: float,
+    budget_s: float | None = None,
+    outcome: str = "ok",
+) -> None:
+    """Record one served request in ``metrics``.
 
-
-class RequestClassAccountant:
-    """Per-request-class SLO accounting for the serving layer.
-
-    Extends the single-session story (:class:`SLOAccountant` folds the
-    scheduler's per-iteration T_s records) to multi-user serving: every
-    served request is observed under its request class (explore / label /
-    search / predict), checked against that class's wall-clock budget, and
-    rolled up into count / violation / p50 / p99 / p999 tail-latency
-    statistics.
-
-    Raw samples are retained per class so the tail quantiles are exact —
-    appropriate for benchmark runs and test servers; a long-lived deployment
-    would swap in a sketch behind the same ``observe``/``summary`` surface.
+    Observes ``latency_s`` in the class's ``serving.latency_s.<class>``
+    histogram and bumps ``serving.requests.<class>``,
+    ``serving.outcomes.<class>.<outcome>`` and, when a budget exists and the
+    request exceeded it, ``serving.slo_violations.<class>``.  ``outcome``
+    tags how the request ended, one of :data:`OUTCOMES`.
     """
+    if outcome not in OUTCOMES:
+        raise ValueError(f"unknown request outcome {outcome!r}")
+    metrics.histogram(f"serving.latency_s.{request_class}").observe(latency_s)
+    metrics.counter(f"serving.requests.{request_class}").add(1)
+    metrics.counter(f"serving.outcomes.{request_class}.{outcome}").add(1)
+    if budget_s is not None and latency_s > budget_s:
+        metrics.counter(f"serving.slo_violations.{request_class}").add(1)
 
-    def __init__(self, budgets_s: Mapping[str, float] | None = None) -> None:
-        """Create an accountant.
 
-        Args:
-            budgets_s: Per-class wall-clock budgets in seconds; classes
-                absent from the mapping are recorded without verdicts.
+def request_summary(
+    metrics: MetricsRegistry,
+    classes: Iterable[str],
+    budgets_s: Mapping[str, float],
+) -> dict:
+    """Per-class roll-up of what :func:`record_request` wrote to ``metrics``.
 
-        Raises:
-            ValueError: when any budget is not positive.
-        """
-        budgets = dict(budgets_s) if budgets_s else {}
-        for request_class, budget in budgets.items():
-            if budget <= 0:
-                raise ValueError(
-                    f"budget for {request_class!r} must be > 0, got {budget}"
-                )
-        self.budgets_s = budgets
-        self._samples: dict[str, list[float]] = {}
-        self._violations: dict[str, int] = {}
-        self._outcomes: dict[str, dict[str, int]] = {}
-        self._lock = threading.Lock()
+    Every class in ``classes`` is listed, zeroed when it saw no request.
+    Quantiles come from the fixed-bucket histogram, so they are interpolated
+    inside one bucket and clamped to the observed ``[min, max]``.
+    """
+    def count(name: str) -> int:
+        return int(metrics.counter(name).value)
 
-    def observe(
-        self, request_class: str, latency_s: float, outcome: str = "ok"
-    ) -> RequestSLO:
-        """Fold one served request into the accounting; returns its verdict.
-
-        ``outcome`` tags how the request ended ("ok", "deadline",
-        "quarantine", "error", ...); per-class outcome counts are rolled
-        up so degraded-mode runs can report failure composition alongside
-        latency quantiles.
-        """
-        latency_s = float(latency_s)
-        budget = self.budgets_s.get(request_class)
-        violated = budget is not None and latency_s > budget
-        verdict = RequestSLO(
-            request_class=request_class,
-            latency_s=latency_s,
-            budget_s=budget,
-            violated=violated,
-            overshoot_s=(latency_s - budget) if violated else 0.0,
-            outcome=outcome,
-        )
-        with self._lock:
-            self._samples.setdefault(request_class, []).append(latency_s)
-            if violated:
-                self._violations[request_class] = (
-                    self._violations.get(request_class, 0) + 1
-                )
-            counts = self._outcomes.setdefault(request_class, {})
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return verdict
-
-    # ------------------------------------------------------------------ queries
-    @property
-    def requests(self) -> int:
-        """Requests observed so far, across every class."""
-        with self._lock:
-            return sum(len(samples) for samples in self._samples.values())
-
-    @property
-    def violations(self) -> int:
-        """Requests that exceeded their class budget, across every class."""
-        with self._lock:
-            return sum(self._violations.values())
-
-    def class_summary(self, request_class: str) -> dict:
-        """Roll-up for one request class (zeroed when nothing was observed)."""
-        with self._lock:
-            samples = sorted(self._samples.get(request_class, ()))
-            violations = self._violations.get(request_class, 0)
-            outcomes = dict(self._outcomes.get(request_class, ()))
-        budget = self.budgets_s.get(request_class)
-        return {
+    rows = {}
+    for request_class in classes:
+        latency = metrics.histogram(f"serving.latency_s.{request_class}")
+        summary = latency.summary()
+        outcomes = {
+            outcome: count(f"serving.outcomes.{request_class}.{outcome}") for outcome in OUTCOMES
+        }
+        rows[request_class] = {
             "request_class": request_class,
-            "count": len(samples),
-            "budget_s": budget,
-            "violations": violations,
-            "outcomes": outcomes,
-            "p50_s": _quantile(samples, 0.50),
-            "p99_s": _quantile(samples, 0.99),
-            "p999_s": _quantile(samples, 0.999),
-            "max_s": samples[-1] if samples else 0.0,
-            "mean_s": (sum(samples) / len(samples)) if samples else 0.0,
+            "count": count(f"serving.requests.{request_class}"),
+            "budget_s": budgets_s.get(request_class),
+            "violations": count(f"serving.slo_violations.{request_class}"),
+            "outcomes": {outcome: n for outcome, n in outcomes.items() if n},
+            "p50_s": summary["p50"],
+            "p99_s": summary["p99"],
+            "p999_s": latency.quantile(0.999),
+            "max_s": summary["max"],
+            "mean_s": summary["sum"] / summary["count"] if summary["count"] else 0.0,
         }
+    return {
+        "requests": sum(row["count"] for row in rows.values()),
+        "violations": sum(row["violations"] for row in rows.values()),
+        "classes": rows,
+    }
 
-    def summary(self) -> dict:
-        """JSON-serialisable roll-up over every observed class, report order."""
-        with self._lock:
-            classes = sorted(set(self._samples) | set(self.budgets_s))
-        return {
-            "requests": self.requests,
-            "violations": self.violations,
-            "classes": {name: self.class_summary(name) for name in classes},
-        }
+
+def format_request_class(row: Mapping) -> str:
+    """One human-readable line for a :func:`request_summary` class row."""
+    budget = "none" if row["budget_s"] is None else f"{row['budget_s']:g}s"
+    return (
+        f"{row['request_class']}: n={row['count']} p50={row['p50_s'] * 1e3:.1f}ms "
+        f"p99={row['p99_s'] * 1e3:.1f}ms p999={row['p999_s'] * 1e3:.1f}ms "
+        f"violations={row['violations']} (budget {budget})"
+    )

@@ -108,29 +108,3 @@ class Decoder:
         clamped = ClipSpec(clip.vid, clip.start, min(clip.end, duration))
         rate = fps if fps is not None else video.record.fps
         return clamped, rate, max(1, int(round(clamped.duration * rate)))
-
-    def decode_window(
-        self,
-        vid: int,
-        start: float,
-        sequence_length: int = 16,
-        stride: int = 2,
-        fps: float | None = None,
-    ) -> DecodedClip:
-        """Decode the paper's standard feature window.
-
-        The prototype feeds video models sequences of 16 frames with a stride
-        of 2, i.e. a window of 32 raw frames (~1.07 s at 30 fps).
-        """
-        video = self._corpus.video(vid)
-        rate = fps if fps is not None else video.record.fps
-        window_seconds = sequence_length * stride / rate
-        end = min(start + window_seconds, video.record.duration)
-        if end <= start:
-            raise InvalidClipError(
-                f"window starting at {start} falls outside video {vid} "
-                f"of duration {video.record.duration}"
-            )
-        decoded = self.decode(ClipSpec(vid, start, end), fps=rate)
-        strided = decoded.strided_frames(stride)[:sequence_length]
-        return DecodedClip(clip=decoded.clip, frames=strided, fps=rate / stride)

@@ -69,17 +69,26 @@ class TestKMeans:
         result = kmeans(rng.standard_normal((25, 4)), 3, rng=rng)
         assert result.inertia >= 0.0
 
-    def test_ann_backend_misses_fall_back_to_exact(self):
-        # LSH over a tiny centroid set routinely returns the -1/inf
-        # no-neighbour sentinel; every point must still get an assignment.
+    def test_ann_backend_misses_fall_back_to_exact(self, monkeypatch):
+        # An ANN index may return the -1/inf no-neighbour sentinel; every
+        # point must still get its exact nearest centroid.
+        from repro.alm import clustering
+        from repro.index import ExactIndex
+
+        class MissEveryOther(ExactIndex):
+            def search(self, queries, k):
+                distances, indices = super().search(queries, k)
+                distances[::2], indices[::2] = np.inf, -1
+                return distances, indices
+
+        monkeypatch.setattr(clustering, "build_index", lambda backend, **params: MissEveryOther())
         rng = np.random.default_rng(3)
         points = rng.standard_normal((50, 8))
         for k in (1, 2, 5):
-            result = kmeans(points, k, rng=np.random.default_rng(0), index_backend="lsh")
-            assert (result.assignments >= 0).all()
-            assert (result.assignments < result.num_clusters).all()
-            assert np.isfinite(result.inertia)
-
+            ann = kmeans(points, k, rng=np.random.default_rng(0), index_backend="ivf-flat")
+            exact = kmeans(points, k, rng=np.random.default_rng(0))
+            assert np.array_equal(ann.assignments, exact.assignments)
+            assert ann.inertia == pytest.approx(exact.inertia)
 
 class TestRandomAcquisition:
     def test_selects_requested_count(self, rng):

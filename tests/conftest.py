@@ -7,6 +7,8 @@ to construct and safe to share (they are treated as read-only by tests).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,16 @@ from repro.video.activity import ActivitySegment, ActivityTrack
 from repro.video.corpus import VideoCorpus
 from repro.video.decoder import Decoder
 from repro.video.sampler import ClipSampler
+
+
+def pytest_collection_modifyitems(config, items):
+    """Run the collected tests last-to-first when ``REPRO_TEST_ORDER=reverse``.
+
+    CI reruns suites this way so a test that passes only because of what ran
+    before it (shared state, leaked threads, warm caches) fails loudly.
+    """
+    if os.environ.get("REPRO_TEST_ORDER") == "reverse":
+        items.reverse()
 
 
 def make_corpus(num_videos: int = 30, classes=("walk", "eat", "rest"), seed: int = 7) -> VideoCorpus:

@@ -152,8 +152,8 @@ class TestSearchCLI:
 
     def test_cli_search_ann_backend(self, capsys):
         code = cli_main(
-            ["search", "--dataset", "deer", "-k", "3", "--backend", "lsh",
+            ["search", "--dataset", "deer", "-k", "3", "--backend", "ivf-flat",
              "--pool-videos", "10"]
         )
         assert code == 0
-        assert "lsh index" in capsys.readouterr().out
+        assert "ivf-flat index" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, VectorIndexError
 from repro.experiments.runner import RunnerConfig, SessionRunner
 from repro.storage.durability import replay_records
 
@@ -208,6 +208,23 @@ class TestSnapshotPlusTail:
         assert len(storage.labels) == total_labels
         resumed.close()
         first.close()
+
+
+class TestDeletedIndexBackend:
+    @pytest.mark.parametrize("fid", ["r3d", "clip"])  # a stored shard, a pending spec
+    def test_snapshot_naming_lsh_is_rejected_on_resume(self, dataset, tmp_path, monkeypatch, fid):
+        from repro.index import ExactIndex, base
+
+        # Write the snapshot as a build that still had the backend would.
+        monkeypatch.setitem(base._BACKENDS, "lsh", ExactIndex)
+        live = SessionRunner(dataset, run_config(tmp_path / "ckpt", num_steps=2))
+        live.run()
+        live.vocal.session.storage.features.attach_index(fid, "lsh")
+        live.vocal.checkpoint()
+        live.close()
+        monkeypatch.delitem(base._BACKENDS, "lsh")
+        with pytest.raises(VectorIndexError, match="lsh"):
+            SessionRunner(dataset, run_config(tmp_path / "ckpt", resume=True))
 
 
 class TestReplayIdempotence:

@@ -227,13 +227,6 @@ class TestAccess:
         assert len(clips) == matrix.shape[0]
         assert matrix.shape[0] > 0
 
-    def test_feature_vectors_for_video(self, setup):
-        __, __, __, manager = setup
-        manager.ensure_video_features("r3d", [3])
-        vectors = manager.feature_vectors_for("r3d", 3)
-        assert vectors
-        assert all(v.vid == 3 and v.fid == "r3d" for v in vectors)
-
     def test_get_many_matches_per_clip_get(self, setup):
         __, __, __, manager = setup
         manager.ensure_video_features("r3d", [0, 1])

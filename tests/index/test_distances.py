@@ -45,9 +45,9 @@ class TestPairwiseSqDistances:
         from repro.alm import clustering
         from repro.alm.acquisition import coreset
         from repro.index import base, distances
-        from repro.index import exact, ivf_flat, lsh
+        from repro.index import exact, ivf_flat
 
-        for module in (clustering, exact, ivf_flat, lsh):
+        for module in (clustering, exact, ivf_flat):
             assert module.pairwise_sq_distances is distances.pairwise_sq_distances
         assert clustering.build_index is base.build_index
         assert coreset.build_index is base.build_index

@@ -3,7 +3,7 @@
 The contract under test (see repro.index.base):
 
 * ExactIndex matches a naive full scan exactly;
-* IVF/LSH recall@k stays above backend-specific floors on clustered data;
+* IVF recall@k stays above its floor on clustered data;
 * builds and searches are deterministic under a fixed seed;
 * incremental adds are immediately visible (IVF re-trains past its threshold).
 """
@@ -15,7 +15,6 @@ from repro.exceptions import VectorIndexError
 from repro.index import (
     ExactIndex,
     IVFFlatIndex,
-    LSHIndex,
     build_index,
     index_backends,
 )
@@ -45,7 +44,7 @@ def recall(found, truth):
 
 class TestFactory:
     def test_backends_registered(self):
-        assert set(index_backends()) >= {"exact", "ivf-flat", "lsh"}
+        assert index_backends() == ["exact", "ivf-flat"]
 
     def test_aliases(self):
         assert isinstance(build_index("ivf"), IVFFlatIndex)
@@ -60,10 +59,6 @@ class TestFactory:
             IVFFlatIndex(nprobe=0)
         with pytest.raises(VectorIndexError):
             IVFFlatIndex(nlist=0)
-        with pytest.raises(VectorIndexError):
-            LSHIndex(num_bits=0)
-        with pytest.raises(VectorIndexError):
-            LSHIndex(num_tables=0)
 
 
 class TestExactIndex:
@@ -193,58 +188,3 @@ class TestIVFFlatIndex:
         exact.build(vectors)
         assert np.array_equal(index.search(queries, 5)[1], exact.search(queries, 5)[1])
 
-
-class TestLSHIndex:
-    def test_recall_floor_on_clustered_data(self):
-        vectors, queries = clustered(3000, seed=11)
-        exact = ExactIndex()
-        exact.build(vectors)
-        truth = exact.search(queries, 10)[1]
-        index = LSHIndex(seed=0)
-        index.build(vectors)
-        found = index.search(queries, 10)[1]
-        assert recall(found, truth) >= 0.5
-
-    def test_deterministic_across_rebuilds(self):
-        vectors, queries = clustered(800, seed=12)
-        results = []
-        for __ in range(2):
-            index = LSHIndex(seed=9)
-            index.build(vectors)
-            results.append(index.search(queries, 6))
-        assert np.array_equal(results[0][1], results[1][1])
-        assert np.array_equal(results[0][0], results[1][0])
-
-    def test_returned_distances_are_exact(self):
-        vectors, queries = clustered(500, seed=13)
-        index = LSHIndex(seed=0)
-        index.build(vectors)
-        distances, indices = index.search(queries, 5)
-        for q in range(queries.shape[0]):
-            for d, i in zip(distances[q], indices[q]):
-                if i < 0:
-                    continue
-                true_sq = float(((queries[q] - vectors[i]) ** 2).sum())
-                assert d == pytest.approx(true_sq, abs=1e-9)
-
-    def test_add_visible_after_resort(self):
-        vectors, __ = clustered(600, seed=14)
-        index = LSHIndex(seed=0)
-        index.build(vectors[:500])
-        index.add(vectors[500:])
-        assert len(index) == 600
-        __, indices = index.search(vectors[560], 1)
-        assert indices[0, 0] == 560  # its own bucket always contains it
-
-    def test_signature_width_regrows_with_pool(self):
-        # Built tiny (few signature bits), then grown 20x: the table must
-        # re-hash under wider planes instead of degenerating to a full scan.
-        vectors, __ = clustered(4000, seed=17)
-        index = LSHIndex(seed=0, num_bits=12)
-        index.build(vectors[:100])
-        narrow = index._planes.shape[1]
-        index.add(vectors[100:])
-        assert index._planes.shape[1] > narrow
-        assert index._planes.shape[1] == index._capped_bits(4000)
-        __, indices = index.search(vectors[2500], 1)
-        assert indices[0, 0] == 2500

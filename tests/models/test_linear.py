@@ -47,8 +47,6 @@ class TestSoftmaxRegression:
         model = SoftmaxRegression(["a", "b"])
         with pytest.raises(NotFittedError):
             model.predict(np.zeros((1, 4)))
-        with pytest.raises(NotFittedError):
-            model.decision_scores(np.zeros((1, 4)))
 
     def test_vocabulary_larger_than_observed_classes(self):
         features, labels = separable_data(num_classes=2)
@@ -85,13 +83,6 @@ class TestSoftmaxRegression:
         labels = ["a" if row[0] > 0 else "b" for row in features]
         model = SoftmaxRegression(["a", "b"]).fit(features, labels)
         assert len(model.predict(features)) == 40
-
-    def test_decision_scores_argmax_matches_predictions(self):
-        features, labels = separable_data()
-        model = SoftmaxRegression([f"class_{i}" for i in range(3)]).fit(features, labels)
-        scores = model.decision_scores(features[:20])
-        from_scores = [model.classes[i] for i in scores.argmax(axis=1)]
-        assert from_scores == model.predict(features[:20])
 
     def test_regularization_shrinks_weights(self):
         features, labels = separable_data()

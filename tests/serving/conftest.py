@@ -8,6 +8,7 @@ restore / crash-recovery cycles are cheap enough to repeat many times.
 from __future__ import annotations
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,28 @@ def manager(factory):
     """A two-resident manager (evictions start at the third session)."""
     with SessionManager(factory, max_resident=2) as instance:
         yield instance
+
+
+class SteppingClock:
+    """Fake server clock: every read advances it by ``step`` seconds.
+
+    A request the server times with no deadline then measures exactly one
+    step, and a deadline shorter than one step has always expired by its
+    first check — no race against real time or the worker hand-off.
+    """
+
+    def __init__(self, step: float = 1.0) -> None:
+        self.now = 0.0
+        self.step = step
+        self._lock = threading.Lock()
+
+    def __call__(self) -> float:
+        with self._lock:
+            self.now += self.step
+            return self.now
+
+
+@pytest.fixture
+def stepping_clock():
+    """A :class:`SteppingClock` advancing one second per read."""
+    return SteppingClock()

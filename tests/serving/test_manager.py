@@ -168,13 +168,16 @@ class TestEviction:
 
 
 class TestLifecycle:
-    def test_checkpoint_all_finishes_open_iterations(self, manager):
-        manager.open("a")
-        with manager.acquire("a") as vocal:
-            vocal.explore(batch_size=2)
-        assert manager.checkpoint_all() == 1
-        with manager.acquire("a") as vocal:
-            assert not vocal.session.iteration_open
+    def test_close_finishes_open_iterations_before_checkpointing(self, factory):
+        with SessionManager(factory, max_resident=2) as manager:
+            manager.open("a")
+            with manager.acquire("a") as vocal:
+                vocal.explore(batch_size=2)  # left open: no labels, no finish
+        with SessionManager(factory, max_resident=2) as manager:
+            summary = manager.open("a")
+            assert summary["iteration"] == 1
+            with manager.acquire("a") as vocal:
+                assert not vocal.session.iteration_open
 
     def test_close_is_idempotent_and_rejects_further_work(self, factory):
         manager = SessionManager(factory, max_resident=2)

@@ -108,6 +108,42 @@ def _run_one_cycle(manager, name: str, dataset) -> list[tuple]:
     return labels
 
 
+def _fail_next_build(manager, monkeypatch) -> None:
+    """Make the factory's next ``build`` raise, as a failed rollback would."""
+    original_build = manager.factory.build
+    fail_once = {"left": 1}
+
+    def flaky_build(name):
+        if fail_once["left"]:
+            fail_once["left"] -= 1
+            raise RuntimeError("no memory for a fresh session")
+        return original_build(name)
+
+    monkeypatch.setattr(manager.factory, "build", flaky_build)
+
+
+def _explore_past_deadline_after_mutation(manager, name: str, fired: list) -> None:
+    """Explore supervised under a fake-clock deadline that expires at the
+    first scheduler boundary reached after the session state changed;
+    appends to ``fired`` when it does."""
+    clock = FakeClock()
+    deadline = Deadline(5.0, "explore", clock=clock)
+    with manager.supervised(name, create=False) as vocal:
+        before = manager._state_probe(vocal)
+
+        def gate():
+            if not fired and manager._state_probe(vocal) != before:
+                clock.now += 10.0
+                fired.append(True)
+            deadline.check()
+
+        vocal.session.scheduler.preemption_gate = gate
+        try:
+            vocal.explore(2)
+        finally:
+            vocal.session.scheduler.preemption_gate = None
+
+
 class TestSupervisor:
     def test_unexpected_failure_quarantines_and_rolls_back_bit_identically(
         self, manager, dataset
@@ -158,16 +194,7 @@ class TestSupervisor:
         self, manager, dataset, monkeypatch
     ):
         acked = _run_one_cycle(manager, "alice", dataset)
-        original_build = manager.factory.build
-        fail_once = {"left": 1}
-
-        def flaky_build(name):
-            if fail_once["left"]:
-                fail_once["left"] -= 1
-                raise RuntimeError("no memory for a fresh session")
-            return original_build(name)
-
-        monkeypatch.setattr(manager.factory, "build", flaky_build)
+        _fail_next_build(manager, monkeypatch)
         with pytest.raises(SessionQuarantinedError, match="rollback itself failed"):
             with manager.supervised("alice", create=False) as vocal:
                 vocal.explore(2)
@@ -196,12 +223,57 @@ class TestSupervisor:
             assert session_fingerprint(vocal) == fingerprint
         assert manager.stats()["rollbacks"] == 1
 
+    def test_deadline_at_a_boundary_after_mutation_is_not_a_quarantine(
+        self, manager, dataset
+    ):
+        acked = _run_one_cycle(manager, "alice", dataset)  # journaled, no snapshot
+        fired = []
+        with pytest.raises(DeadlineExceededError, match="explore"):
+            _explore_past_deadline_after_mutation(manager, "alice", fired)
+        assert fired, "the deadline never fired after a state change"
+        stats = manager.stats()
+        assert stats["deadline_rollbacks"] == 1
+        assert stats["quarantines"] == 0
+        assert stats["rollbacks"] == 1
+        with manager.acquire("alice", create=False) as vocal:
+            stored = [
+                (label.vid, label.start, label.end, label.label)
+                for label in vocal.session.storage.labels.all()
+            ]
+            assert stored == acked
+            assert not vocal.session.iteration_open
+
+    def test_deadline_whose_rollback_fails_counts_as_a_quarantine(
+        self, manager, dataset, monkeypatch
+    ):
+        # The request ends as a quarantine, so the quarantine counter agrees
+        # with the server's "quarantine" outcome for it.
+        acked = _run_one_cycle(manager, "alice", dataset)
+        _fail_next_build(manager, monkeypatch)
+        fired = []
+        with pytest.raises(SessionQuarantinedError, match="rollback itself failed"):
+            _explore_past_deadline_after_mutation(manager, "alice", fired)
+        assert fired, "the deadline never fired after a state change"
+        stats = manager.stats()
+        assert stats["deadline_rollbacks"] == 1
+        assert stats["quarantines"] == 1
+        assert stats["rollback_failures"] == 1
+        assert stats["rollbacks"] == 0
+        with manager.acquire("alice", create=False) as vocal:
+            assert len(vocal.session.storage.labels) == len(acked)
+
 
 class TestServerDeadlines:
-    def test_expired_deadline_fails_fast_and_typed_over_the_wire(self, factory):
+    def test_expired_deadline_fails_fast_and_typed_over_the_wire(
+        self, factory, stepping_clock
+    ):
+        # The server clock steps 1 s per read, so the 0.5 s deadline started
+        # on receipt has expired by the fast-fail check before pinning.
         manager = SessionManager(factory, max_resident=2)
         thread = ServerThread(
-            manager, ServingConfig(explore_deadline_s=1e-4, worker_threads=2)
+            manager,
+            ServingConfig(explore_deadline_s=0.5, worker_threads=2),
+            clock=stepping_clock,
         )
         host, port = thread.start()
         try:
@@ -209,10 +281,12 @@ class TestServerDeadlines:
                 client.open("alice")
                 with pytest.raises(DeadlineExceededError, match="explore"):
                     client.explore("alice", batch_size=2)
-                # The deadline parked cleanly: no quarantine, session healthy.
+                # The deadline parked before pinning: nothing to roll back,
+                # no quarantine, session healthy.
                 stats = client.stats()
                 assert stats["manager"]["quarantines"] == 0
-                assert stats["slo"]["classes"]["explore"]["outcomes"]["deadline"] >= 1
+                assert stats["manager"]["deadline_rollbacks"] == 0
+                assert stats["slo"]["classes"]["explore"]["outcomes"] == {"deadline": 1}
                 ack = client.label(
                     "alice", [(0, 0.0, 1.0, factory.dataset.class_names[0])]
                 )

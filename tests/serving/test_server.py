@@ -11,6 +11,7 @@ import pytest
 from repro.config import ServingConfig
 from repro.exceptions import (
     AdmissionError,
+    DeadlineExceededError,
     ProtocolError,
     ServingError,
     SessionNotFoundError,
@@ -88,6 +89,81 @@ class TestControlPlane:
         # finish is accounted under the label class.
         assert stats["slo"]["classes"]["label"]["count"] == 1
         assert stats["slo"]["classes"]["explore"]["budget_s"] == 30.0
+
+
+#: Keys of the ``stats`` reply's ``manager`` block besides ``resident``.
+MANAGER_COUNTS = {
+    "resident_count", "max_resident", "max_sessions", "sessions_on_disk",
+    "creates", "restores", "evictions", "eviction_overshoots",
+    "residency_sheds", "recovered_tail_labels", "quarantines",
+    "deadline_rollbacks", "rollbacks", "rollback_failures",
+}
+#: Keys of one request class in the ``stats`` reply's ``slo`` block.
+CLASS_KEYS = {
+    "request_class", "count", "budget_s", "violations", "outcomes",
+    "p50_s", "p99_s", "p999_s", "max_s", "mean_s",
+}
+
+
+class TestStatsReply:
+    def test_stats_reply_pins_the_registry_roll_up(self, factory, stepping_clock):
+        # Every server clock read advances 1 s: a request with no deadline
+        # measures exactly 1 s, a 1.5 s deadline has expired by its
+        # fast-fail check, and the 1000 s explore deadline never fires but
+        # makes each explore read the clock once per scheduler boundary.
+        manager = SessionManager(factory, max_resident=2)
+        config = ServingConfig(
+            explore_slo_s=30.0,
+            label_slo_s=0.5,
+            explore_deadline_s=1000.0,
+            search_deadline_s=1.5,
+        )
+        thread = ServerThread(manager, config, clock=stepping_clock)
+        host, port = thread.start()
+        try:
+            with ServingClient(host, port) as client:
+                client.open("alice")
+                for _ in range(2):
+                    batch = client.explore("alice", batch_size=2)
+                    labels = [
+                        (s["vid"], s["start"], s["end"], factory.dataset.class_names[0])
+                        for s in batch["segments"]
+                    ]
+                    client.label("alice", labels, finish=True)
+                with pytest.raises(DeadlineExceededError, match="search"):
+                    client.search("alice", clip=(0, 0.0, 1.0))
+                with pytest.raises(SessionNotFoundError):
+                    client.predict("ghost", 0, 0.0, 1.0)
+                stats = client.stats()
+        finally:
+            thread.stop()
+
+        counts = stats["manager"]
+        assert set(counts) == MANAGER_COUNTS | {"resident"}
+        assert all(type(counts[key]) is int for key in MANAGER_COUNTS)
+        assert (counts["creates"], counts["quarantines"], counts["deadline_rollbacks"]) == (1, 0, 0)
+
+        slo = stats["slo"]
+        rows = slo["classes"]
+        assert set(rows) == {"explore", "label", "search", "predict"}
+        assert all(set(row) == CLASS_KEYS for row in rows.values())
+        observed = {
+            name: (row["count"], row["outcomes"], row["violations"], row["budget_s"])
+            for name, row in rows.items()
+        }
+        assert observed == {
+            "explore": (2, {"ok": 2}, 0, 30.0),
+            "label": (2, {"ok": 2}, 2, 0.5),
+            "search": (1, {"deadline": 1}, 0, None),
+            "predict": (1, {"error": 1}, 0, None),
+        }
+        assert (slo["requests"], slo["violations"]) == (6, 2)
+        assert rows["label"]["p50_s"] == rows["label"]["max_s"] == 1.0
+        assert rows["search"]["p999_s"] == rows["search"]["mean_s"] == 2.0
+        for name, row in rows.items():
+            latency = manager.metrics.histogram(f"serving.latency_s.{name}").summary()
+            assert latency["max"] == row["max_s"]
+            assert latency["min"] <= row["p50_s"] <= row["p99_s"] <= row["p999_s"] <= row["max_s"]
 
 
 class TestProtocolLimits:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import MissingFeatureError
+from repro.exceptions import MissingFeatureError, VectorIndexError
+from repro.storage.durability import replay_records
 from repro.storage.feature_store import FeatureStore
+from repro.storage.storage_manager import StorageManager
 from repro.types import ClipSpec
 
 
@@ -63,10 +65,10 @@ class TestSearch:
 class TestAttachIndex:
     def test_backend_switch_takes_effect(self):
         store, vectors = filled_store(n=200)
-        store.attach_index("r3d", "lsh", seed=0)
-        assert store.index_backend("r3d") == "lsh"
+        store.attach_index("r3d", "ivf-flat", seed=0)
+        assert store.index_backend("r3d") == "ivf-flat"
         distances, rows = store.search("r3d", vectors[3], k=1)
-        assert rows[0, 0] == 3  # its own bucket always contains it
+        assert rows[0, 0] == 3  # its own cell is always probed
 
     def test_attach_before_any_vector(self):
         store = FeatureStore()
@@ -83,7 +85,7 @@ class TestAttachIndex:
         # A config probe with an unknown fid must not create a phantom shard
         # that would leak into extractors() and the snapshot.
         store, __ = filled_store()
-        store.attach_index("typo_extractor", "lsh")
+        store.attach_index("typo_extractor", "ivf-flat")
         assert store.extractors() == ["r3d"]
 
     def test_reattach_same_spec_keeps_built_index(self):
@@ -98,7 +100,7 @@ class TestAttachIndex:
         store, vectors = filled_store()
         store.search("r3d", vectors[0], k=1)
         shard = store._shards["r3d"]
-        store.attach_index("r3d", "lsh", seed=1)
+        store.attach_index("r3d", "ivf-flat", seed=1)
         assert shard._vindex is None
 
 
@@ -126,7 +128,7 @@ class TestWriteInvalidation:
         assert store.clips_at("r3d", rows[0])[0].vid == 500
 
     def test_search_results_deterministic_after_rebuild(self):
-        for backend in ("exact", "ivf-flat", "lsh"):
+        for backend in ("exact", "ivf-flat"):
             runs = []
             for __ in range(2):
                 store, vectors = filled_store(n=120)
@@ -143,3 +145,26 @@ class TestWriteInvalidation:
         assert restored._shards["r3d"]._vindex is None
         __, rows = restored.search("r3d", vectors[11], k=1)
         assert rows[0, 0] == 11
+
+
+class TestUnknownBackendRejected:
+    """A stored spec naming a backend that no longer exists (``lsh``) fails typed."""
+
+    def test_attach_rejects_unknown_backend(self):
+        store, __ = filled_store()
+        with pytest.raises(VectorIndexError, match="lsh"):
+            store.attach_index("r3d", "lsh")
+        assert store.index_backend("r3d") == "exact"
+
+    def test_journal_replay_of_lsh_attach_raises(self):
+        storage = StorageManager()
+        record = {"type": "index_attach", "fid": "r3d", "backend": "lsh", "params": {}}
+        with pytest.raises(VectorIndexError, match="lsh"):
+            replay_records(storage, [record])
+        assert storage.features.index_backend("r3d") == "exact"
+
+    def test_restore_of_lsh_spec_raises_before_replacing_state(self):
+        store, __ = filled_store()
+        with pytest.raises(VectorIndexError, match="lsh"):
+            store.restore_columns({}, {}, index_specs={"r3d": ("lsh", {})})
+        assert store.extractors() == ["r3d"]

@@ -1,11 +1,14 @@
 """Tests for the metrics registry: counters, gauges, histograms."""
 
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.telemetry.metrics import (
     COUNT_BUCKETS,
+    DEFAULT_BUCKETS,
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
@@ -86,6 +89,42 @@ class TestHistogram:
     def test_empty_summary(self):
         assert Histogram("empty").summary()["count"] == 0
         assert Histogram("empty").quantile(0.99) == 0.0
+
+    def test_default_buckets_are_ten_per_decade(self):
+        assert len(DEFAULT_BUCKETS) == 91
+        assert (DEFAULT_BUCKETS[0], DEFAULT_BUCKETS[10], DEFAULT_BUCKETS[-1]) == (1e-05, 1e-04, 1e04)
+        ratios = np.diff(np.log10(DEFAULT_BUCKETS))
+        assert np.all(ratios > 0) and np.allclose(ratios, 0.1, atol=5e-3)  # 3-digit rounding
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("median_s", [0.002, 0.07])
+    def test_quantiles_track_exact_quantiles_on_lognormal_latencies(self, seed, median_s):
+        # Serving-like latencies (lognormal, sigma 0.5).  One bucket spans a
+        # factor of 1.26, so an interpolated quantile can miss by up to one
+        # bucket; on these samples p50 and p99 stay within 10%.
+        samples = np.random.default_rng(seed).lognormal(np.log(median_s), 0.5, 400)
+        histogram = Histogram("serving.latency_s.explore")
+        for value in samples.tolist():
+            histogram.observe(value)
+        for q in (0.50, 0.99):
+            assert histogram.quantile(q) == pytest.approx(np.quantile(samples, q), rel=0.10)
+
+    def test_memory_is_flat_across_a_million_observations(self):
+        histogram = MetricsRegistry().histogram("serving.latency_s.explore")
+        values = np.random.default_rng(0).lognormal(np.log(0.002), 1.0, 1000).tolist()
+        tracemalloc.start()
+        try:
+            for value in values:
+                histogram.observe(value)
+            baseline = tracemalloc.get_traced_memory()[0]
+            for __ in range(999):
+                for value in values:
+                    histogram.observe(value)
+            grown = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert histogram.count == 1_000_000
+        assert grown < 4096  # bytes; a sample list would hold ~8 MB
 
 
 class TestMetricsRegistry:

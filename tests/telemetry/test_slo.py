@@ -1,9 +1,15 @@
-"""Tests for per-iteration SLO accounting."""
+"""Tests for SLO accounting: per-iteration verdicts, served-request roll-ups."""
 
 import pytest
 
 from repro.scheduler.scheduler import IterationLatency
-from repro.telemetry.slo import SLOAccountant
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.slo import (
+    SLOAccountant,
+    format_request_class,
+    record_request,
+    request_summary,
+)
 
 
 def _record(iteration, visible, by_kind=None):
@@ -68,3 +74,41 @@ class TestSLOAccountant:
         summary = SLOAccountant(budget_s=1.0).summary()
         assert summary["iterations"] == 0
         assert summary["worst"] is None
+
+
+class TestRequestRollUp:
+    def test_record_then_summary_reads_the_registry(self):
+        metrics = MetricsRegistry()
+        for latency in (0.010, 0.020, 0.030):
+            record_request(metrics, "explore", latency, budget_s=0.025)
+        record_request(metrics, "explore", 0.040, budget_s=0.025, outcome="deadline")
+        record_request(metrics, "label", 0.005, outcome="error")
+        summary = request_summary(metrics, ("explore", "label", "search"), {"explore": 0.025})
+        explore = summary["classes"]["explore"]
+        assert (explore["count"], explore["violations"], explore["budget_s"]) == (4, 2, 0.025)
+        assert explore["outcomes"] == {"ok": 3, "deadline": 1}
+        assert explore["max_s"] == 0.040
+        assert explore["mean_s"] == pytest.approx(0.025)
+        assert 0.010 <= explore["p50_s"] <= explore["p99_s"] <= explore["p999_s"] <= 0.040
+        assert summary["classes"]["label"]["outcomes"] == {"error": 1}
+        assert summary["classes"]["label"]["violations"] == 0  # unbudgeted
+        assert summary["classes"]["search"]["count"] == 0  # listed though unseen
+        assert (summary["requests"], summary["violations"]) == (5, 2)
+        assert metrics.counter("serving.requests.explore").value == 4
+        assert metrics.counter("serving.slo_violations.explore").value == 2
+
+    def test_unknown_outcome_is_rejected(self):
+        # The roll-up lists only the known outcomes, so nothing else may be
+        # recorded.
+        with pytest.raises(ValueError, match="outcome"):
+            record_request(MetricsRegistry(), "explore", 0.01, outcome="timeout")
+
+    def test_format_names_class_counts_and_budget(self):
+        metrics = MetricsRegistry()
+        record_request(metrics, "search", 0.002, budget_s=0.5)
+        rows = request_summary(metrics, ("search", "predict"), {"search": 0.5})["classes"]
+        assert format_request_class(rows["search"]) == (
+            "search: n=1 p50=2.0ms p99=2.0ms p999=2.0ms violations=0 (budget 0.5s)"
+        )
+        assert format_request_class(rows["predict"]).endswith("violations=0 (budget none)")
+

@@ -56,6 +56,9 @@ class TestDecode:
         decoded = decoder.decode(ClipSpec(0, 0.0, 0.01))
         assert decoded.num_frames == 1
 
+    def test_corpus_property(self, decoder, corpus):
+        assert decoder.corpus is corpus
+
 
 class TestDecodeBatch:
     @pytest.mark.parametrize("size", [3, 20])  # below and above MIN_VECTORIZED_BATCH
@@ -101,22 +104,3 @@ class TestDecodedClipHelpers:
         assert decoded.strided_frames(2).shape[0] == 15
         with pytest.raises(InvalidClipError):
             decoded.strided_frames(0)
-
-
-class TestDecodeWindow:
-    def test_window_duration_matches_sequence_parameters(self, decoder, corpus):
-        decoded = decoder.decode_window(0, start=0.0, sequence_length=16, stride=2)
-        # 16 frames at stride 2 covers 32 raw frames ~= 1.07 s at 30 fps.
-        assert decoded.clip.duration == pytest.approx(32 / 30.0, abs=1e-6)
-        assert decoded.frames.shape[0] <= 16
-
-    def test_window_near_video_end_is_clamped(self, decoder):
-        decoded = decoder.decode_window(1, start=3.5)
-        assert decoded.clip.end == pytest.approx(4.0)
-
-    def test_window_outside_video_rejected(self, decoder):
-        with pytest.raises(InvalidClipError):
-            decoder.decode_window(1, start=4.0)
-
-    def test_corpus_property(self, decoder, corpus):
-        assert decoder.corpus is corpus
