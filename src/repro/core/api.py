@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 from ..alm.manager import ActiveLearningManager
 from ..config import VocalExploreConfig
+from ..exceptions import ReproError
 from ..features.feature_manager import FeatureManager
 from ..features.pretrained import build_default_registry
 from ..models.model_manager import ModelManager
@@ -48,7 +49,7 @@ class VOCALExplore:
     """Pay-as-you-go video exploration and model building."""
 
     def __init__(self, session: ExplorationSession) -> None:
-        self._session = session
+        self._session: ExplorationSession | None = session
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -127,16 +128,30 @@ class VOCALExplore:
     # ----------------------------------------------------------------- plumbing
     @property
     def session(self) -> ExplorationSession:
-        """The underlying exploration session (full access for experiments)."""
+        """The underlying exploration session (full access for experiments).
+
+        Raises:
+            ReproError: once the handle is closed.
+        """
+        if self._session is None:
+            raise ReproError("this VOCALExplore handle is closed")
         return self._session
 
     def close(self) -> None:
-        """Release execution-engine resources; required for the threads engine.
+        """Close the session and release it; required for the threads engine.
 
-        ``VOCALExplore`` is also a context manager, so ``with
-        VOCALExplore.for_dataset(...) as vocal:`` closes automatically.
+        Idempotent.  The handle is unusable afterwards: it drops its session
+        even when closing it fails, so the session's memory is freed as soon
+        as its last outside reference goes.  ``VOCALExplore`` is also a
+        context manager, so ``with VOCALExplore.for_dataset(...) as vocal:``
+        closes automatically.
         """
-        self._session.close()
+        if self._session is None:
+            return
+        try:
+            self._session.close()
+        finally:
+            self._session = None
 
     def __enter__(self) -> "VOCALExplore":
         return self
@@ -147,7 +162,7 @@ class VOCALExplore:
     # ---------------------------------------------------------------- Table 1
     def watch(self, vid: int, start: float, end: float) -> list[VideoSegment]:
         """Return consecutive clips of the requested window with predicted labels."""
-        return self._session.watch(vid, start, end)
+        return self.session.watch(vid, start, end)
 
     def explore(
         self,
@@ -156,15 +171,15 @@ class VOCALExplore:
         label: str | None = None,
     ) -> ExploreResult:
         """Return clips that, once labeled, most improve the model."""
-        return self._session.explore(batch_size, clip_duration, label)
+        return self.session.explore(batch_size, clip_duration, label)
 
     def add_label(self, vid: int, start: float, end: float, label: str) -> None:
         """Save one label as metadata."""
-        self._session.add_label(vid, start, end, label)
+        self.session.add_label(vid, start, end, label)
 
     def add_video(self, path: str, duration: float, start_time: float = 0.0, fps: float = 30.0) -> int:
         """Register a new video as a candidate for labels and predictions."""
-        return self._session.add_video(path, duration, start_time, fps)
+        return self.session.add_video(path, duration, start_time, fps)
 
     # -------------------------------------------------------- similarity search
     def search(self, query, k: int = 10, feature_name: str | None = None) -> list[SearchHit]:
@@ -176,7 +191,7 @@ class VOCALExplore:
         ``config.index``) with its latency charged against the simulated
         clock.
         """
-        return self._session.search(query, k=k, feature_name=feature_name)
+        return self.session.search(query, k=k, feature_name=feature_name)
 
     # ------------------------------------------------------ durable checkpoints
     def checkpoint(self) -> int:
@@ -186,7 +201,7 @@ class VOCALExplore:
         ``checkpoint_every`` set, snapshots are also taken automatically
         every N finished iterations.
         """
-        return self._session.checkpoint()
+        return self.session.checkpoint()
 
     def resume(self) -> RecoveryReport:
         """Restore this freshly built instance from its checkpoint directory.
@@ -196,21 +211,21 @@ class VOCALExplore:
         simulated engine.  See :class:`~repro.core.session.RecoveryReport`
         for what the journal tail preserved.
         """
-        return self._session.resume()
+        return self.session.resume()
 
     # -------------------------------------------------------------- statistics
     def finish_iteration(self) -> IterationSummary:
         """Finalise the current iteration (normally done implicitly by ``explore``)."""
-        return self._session.finish_iteration()
+        return self.session.finish_iteration()
 
     def cumulative_visible_latency(self) -> float:
         """Total user-visible latency accumulated so far (simulated seconds)."""
-        return self._session.cumulative_visible_latency()
+        return self.session.cumulative_visible_latency()
 
     def summaries(self) -> list[IterationSummary]:
         """Per-iteration summaries (acquisition used, feature used, latency, S_max)."""
-        return self._session.summaries()
+        return self.session.summaries()
 
     def current_feature(self) -> str:
         """Feature extractor currently used for predictions."""
-        return self._session.current_feature()
+        return self.session.current_feature()

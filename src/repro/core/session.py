@@ -233,9 +233,13 @@ class ExplorationSession:
         A no-op for the simulated engine; for the thread-pool engine it joins
         the worker and shard pools.  Safe to call more than once.  When
         durable checkpointing is on, pending journal records are committed
-        before the journal handle is released.
+        before the journal handle is released.  Dropping the scheduler's
+        idle-task factory (a bound method of this session) cuts the graph's
+        only reference cycle, so a closed session is freed by reference
+        counting alone.
         """
         self.scheduler.shutdown()
+        self.scheduler.idle_task_factory = None
         if self.durability is not None:
             self.durability.commit()
             self.durability.close()

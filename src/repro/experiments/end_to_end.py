@@ -63,11 +63,6 @@ class EndToEndResult:
             for point in self.points
         ]
 
-    def best_baseline_f1(self) -> float:
-        """Best mean F1 among the fixed-feature baselines (paper's upper envelope)."""
-        baselines = [p for p in self.points if p.method in ("random", "coreset-pp")]
-        return max((p.mean_f1 for p in baselines), default=0.0)
-
     def ve_full_point(self) -> EndToEndPoint | None:
         for point in self.points:
             if point.method == "ve-full":

@@ -49,11 +49,6 @@ class ModelEvaluator:
         self._feature_cache: dict[str, np.ndarray] = {}
 
     @property
-    def eval_labels(self) -> list[str]:
-        """Ground-truth labels of the evaluation examples."""
-        return list(self._eval_labels)
-
-    @property
     def num_examples(self) -> int:
         return len(self._eval_clips)
 

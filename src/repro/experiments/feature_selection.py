@@ -201,12 +201,6 @@ class VESelectComparison:
     def format(self) -> str:
         return format_table(self.rows(), title=f"Figure 7 — {self.dataset}")
 
-    def catches_up(self, within: float = 0.1) -> bool:
-        """True when VE-select's final F1 is within ``within`` of the best fixed feature."""
-        if not self.ve_select_f1 or not self.best_f1:
-            return False
-        return self.ve_select_f1[-1] >= self.best_f1[-1] - within
-
 
 def run_ve_select_comparison(
     dataset: Dataset | str,

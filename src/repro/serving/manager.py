@@ -31,7 +31,6 @@ while each session's requests stay strictly ordered.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import logging
 import threading
@@ -176,11 +175,11 @@ class ResidentSession:
         self.last_used = 0
         #: Requests served by this resident instance.
         self.requests = 0
-        #: Set when a supervised rollback itself failed: the in-memory state
-        #: is untrusted and must *never* be checkpointed (the durable state
-        #: on disk is the recovery point).  Requests queued on the entry are
-        #: refused and the instance is discarded and rebuilt from disk once
-        #: unpinned.
+        #: Set when a supervised rollback itself failed.  The rollback has
+        #: already closed ``vocal``, so the manager never reads it again and
+        #: never checkpoints it (the durable state on disk is the recovery
+        #: point).  Requests queued on the entry are refused, and the entry
+        #: is dropped and rebuilt from disk once unpinned.
         self.poisoned = False
 
 
@@ -560,13 +559,8 @@ class SessionManager:
             self._evict_locked(victim)
 
     def _discard_locked(self, entry: ResidentSession) -> None:
-        """Release a poisoned instance without checkpointing its state."""
-        try:
-            entry.vocal.close()
-        except Exception:
-            logger.exception("session %s: closing poisoned instance failed", entry.name)
+        """Drop a poisoned entry (its instance is already closed) unsaved."""
         del self._resident[entry.name]
-        gc.collect()
         self.metrics.counter("serving.session_discards").add(1)
         self.metrics.gauge("serving.resident_sessions").set(len(self._resident))
         logger.warning("discarded poisoned session %s (durable state intact)", entry.name)
@@ -580,13 +574,6 @@ class SessionManager:
         entry.vocal.checkpoint()
         entry.vocal.close()
         del self._resident[entry.name]
-        # A session's object graph is cyclic (scheduler/store backrefs), so
-        # dropping the last reference queues it for the *cycle* collector;
-        # until that runs, evicted instances pile up and the residency cap
-        # stops bounding RSS.  Collect now — eviction already pays for a
-        # checkpoint write, and this keeps memory release as deterministic
-        # as the eviction itself.
-        gc.collect()
         self.metrics.counter("serving.session_evictions").add(1)
         self.metrics.gauge("serving.resident_sessions").set(len(self._resident))
         logger.info("evicted session %s to disk", entry.name)
@@ -605,7 +592,7 @@ class SessionManager:
                 raise SessionNotFoundError(f"session {name!r} is not resident")
             if entry.pins > 0:
                 raise ServingError(f"session {name!r} has in-flight requests")
-            if entry.vocal.session.iteration_open:
+            if not entry.poisoned and entry.vocal.session.iteration_open:
                 raise ServingError(
                     f"session {name!r} is mid-iteration; finish it before evicting"
                 )
@@ -621,13 +608,6 @@ class SessionManager:
             for entry in list(self._resident.values()):
                 with entry.lock:
                     if entry.poisoned:
-                        try:
-                            entry.vocal.close()
-                        except Exception:
-                            logger.exception(
-                                "session %s: closing poisoned instance failed",
-                                entry.name,
-                            )
                         continue
                     if entry.vocal.session.iteration_open:
                         entry.vocal.finish_iteration()
@@ -669,18 +649,35 @@ class SessionManager:
         "rollback_failures": "serving.session_rollback_failures",
     }
 
+    @staticmethod
+    def _entry_stats(entry: ResidentSession) -> dict:
+        if entry.poisoned:
+            # The instance is closed; only the manager's own bookkeeping is left.
+            return {
+                "session": entry.name,
+                "poisoned": True,
+                "pinned": entry.pins,
+                "requests": entry.requests,
+            }
+        session = entry.vocal.session
+        return {
+            "session": entry.name,
+            "iteration": session.iteration,
+            "labels": len(session.storage.labels),
+            "pinned": entry.pins,
+            "requests": entry.requests,
+            "iteration_open": session.iteration_open,
+        }
+
     def stats(self) -> dict:
-        """Lifecycle counters from :attr:`metrics` and per-resident-session detail."""
+        """Lifecycle counters from :attr:`metrics` and per-resident-session detail.
+
+        A poisoned entry is listed with ``"poisoned": True`` and without the
+        iteration and label fields: its instance is closed.
+        """
         with self._lock:
             resident = [
-                {
-                    "session": entry.name,
-                    "iteration": entry.vocal.session.iteration,
-                    "labels": len(entry.vocal.session.storage.labels),
-                    "pinned": entry.pins,
-                    "requests": entry.requests,
-                    "iteration_open": entry.vocal.session.iteration_open,
-                }
+                self._entry_stats(entry)
                 for entry in sorted(self._resident.values(), key=lambda e: e.last_used)
             ]
             return {

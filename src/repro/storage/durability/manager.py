@@ -179,11 +179,6 @@ class CheckpointManager:
         self._journal = JournalWriter(self.directory / _journal_name(state.generation))
         return state
 
-    @property
-    def has_snapshot(self) -> bool:
-        """True when at least one published snapshot directory exists."""
-        return bool(list_generations(self.directory))
-
     def snapshot_path(self, generation: int) -> Path:
         """Directory a given generation's snapshot lives in (existing or not)."""
         return self.directory / snapshot_dir_name(generation)

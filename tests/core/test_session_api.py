@@ -71,6 +71,16 @@ class TestExploreBasics:
         result = vocal_tiny.explore(batch_size=3, clip_duration=1.0, label="a")
         assert len(result.segments) == 3
 
+    def test_close_is_idempotent_and_releases_the_session(self, vocal_tiny):
+        scheduler = vocal_tiny.session.scheduler
+        vocal_tiny.close()
+        vocal_tiny.close()
+        assert scheduler.idle_task_factory is None
+        with pytest.raises(ReproError, match="closed"):
+            vocal_tiny.session
+        with pytest.raises(ReproError, match="closed"):
+            vocal_tiny.explore(batch_size=2)
+
 
 class TestLabelsAndWatch:
     def test_add_label_persists(self, vocal_tiny):
