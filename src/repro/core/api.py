@@ -73,7 +73,8 @@ class VOCALExplore:
             config: System configuration; defaults to the paper's settings.
             cost_model: Latency cost model; defaults to Table 3-derived costs.
             candidate_features: Names of the candidate extractors the ALM
-                should consider; defaults to all registered extractors.
+                should consider; defaults to all registered extractors.  Only
+                these extractors' weights are drawn at build.
         """
         config = config if config is not None else VocalExploreConfig()
         vocabulary = list(vocabulary) if vocabulary is not None else list(corpus.class_names)
@@ -99,6 +100,11 @@ class VOCALExplore:
         candidates = (
             list(candidate_features) if candidate_features is not None else registry.names()
         )
+        # Draw the candidates' weights now, so the first explore does not pay
+        # for them; any other extractor draws its own if a caller names it.
+        for name in candidates:
+            if name in registry:
+                registry.get(name).load_weights()
         alm = ActiveLearningManager(
             storage.videos,
             storage.labels,

@@ -160,11 +160,13 @@ def _populate_corpus(
         assignments.append(str(rng.choice(class_names, p=probabilities)))
     rng.shuffle(assignments)
 
+    tracks = []
     for dominant in assignments[:num_videos]:
         co_occurring = None
         if spec.co_occurrence_rate > 0 and rng.random() < spec.co_occurrence_rate:
             co_occurring = str(rng.choice(class_names, p=probabilities))
-        corpus.add_video(_build_track(spec.video_duration, dominant, co_occurring, rng))
+        tracks.append(_build_track(spec.video_duration, dominant, co_occurring, rng))
+    corpus.add_videos(tracks)
 
 
 def generate_dataset(spec: DatasetSpec, seed: int = 0) -> Dataset:

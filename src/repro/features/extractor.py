@@ -59,6 +59,13 @@ class FeatureExtractor:
     def dim(self) -> int:
         return self.spec.dim
 
+    def load_weights(self) -> None:
+        """Get ready to extract now instead of on first use; idempotent.
+
+        Extractors whose weights are drawn or loaded lazily override this; a
+        session calls it for its candidates when it is built.
+        """
+
     def extract(self, decoded: DecodedClip) -> np.ndarray:
         """Return a 1-D embedding of length ``self.dim`` for a decoded clip."""
         raise NotImplementedError

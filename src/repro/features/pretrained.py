@@ -7,7 +7,9 @@ equivalents with the same names, dimensions, input types, and relative
 throughputs.
 
 Each simulated extractor applies a fixed random projection to the clip's
-latent content and mixes in clip-specific distractor noise.  The mixing weight
+latent content and mixes in clip-specific distractor noise.  The projection
+is drawn from the extractor's seed on first use, so building an extractor
+costs nothing until it is asked to extract.  The mixing weight
 (``signal_quality``) is dataset dependent and supplied by the dataset catalog,
 which encodes the per-dataset extractor ranking observed in the paper's
 Figure 4 (e.g. video models beat CLIP on Deer, CLIP variants win on BDD, and
@@ -22,6 +24,7 @@ Frame handling differs by extractor exactly as in the paper:
 
 from __future__ import annotations
 
+import threading
 import zlib
 from typing import Iterable, Mapping, Sequence
 
@@ -98,6 +101,27 @@ _POOLING_BY_NAME = {
 }
 
 
+def _draw_weights(
+    seed: int, spec: ExtractorSpec, latent_dim: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One extractor's projection, distractor basis and clip-noise seed.
+
+    The distractor basis injects clip-specific noise through its own fixed
+    directions, so the noise is structured (not white) but carries no class
+    information.
+    """
+    # zlib.crc32 is a stable per-name salt; Python's hash() is randomised
+    # per process, which would make "seeded" features differ across runs.
+    rng = np.random.default_rng((seed, zlib.crc32(spec.name.encode()) & 0xFFFF))
+    projection = rng.standard_normal((latent_dim, spec.dim)) / np.sqrt(latent_dim)
+    distractor_basis = rng.standard_normal((latent_dim, spec.dim)) / np.sqrt(latent_dim)
+    return projection, distractor_basis, int(rng.integers(0, 2**31 - 1))
+
+
+#: A simulated extractor's weights, in the order they are drawn.
+_WEIGHT_NAMES = ("_projection", "_distractor_basis", "_noise_seed")
+
+
 class SimulatedExtractor(FeatureExtractor):
     """A pretrained extractor simulated as a noisy projection of clip content."""
 
@@ -129,19 +153,38 @@ class SimulatedExtractor(FeatureExtractor):
         self.signal_quality = float(signal_quality)
         self.pooling = pooling
         self.latent_dim = int(latent_dim)
+        self._seed = seed
+        self._draw_lock = threading.Lock()
+        self._weights_drawn = False
 
-        # zlib.crc32 is a stable per-name salt; Python's hash() is randomised
-        # per process, which would make "seeded" features differ across runs.
-        rng = np.random.default_rng((seed, zlib.crc32(spec.name.encode()) & 0xFFFF))
-        projection = rng.standard_normal((self.latent_dim, spec.dim)) / np.sqrt(self.latent_dim)
-        self._projection = projection
-        # Distractor directions: clip-specific noise is injected through a
-        # separate fixed basis so it is structured (not white) but carries no
-        # class information.
-        self._distractor_basis = rng.standard_normal((self.latent_dim, spec.dim)) / np.sqrt(
-            self.latent_dim
-        )
-        self._noise_seed = int(rng.integers(0, 2**31 - 1))
+    def load_weights(self) -> None:
+        """Draw this extractor's weights; later calls return at once.
+
+        Reading a weight draws all of them, so extraction calls this
+        implicitly; callers that know they will extract call it up front to
+        keep the draw out of their first request.  The draw runs once under a
+        lock, because extraction may start on several threads at once.  A
+        weight assigned before the draw is kept.
+        """
+        if self._weights_drawn:
+            return
+        with self._draw_lock:
+            if self._weights_drawn:
+                return
+            weights = _draw_weights(self._seed, self.spec, self.latent_dim)
+            state = vars(self)
+            for attr, value in zip(_WEIGHT_NAMES, weights):
+                state.setdefault(attr, value)
+            self._weights_drawn = True
+
+    def __getattr__(self, name: str):
+        # Runs only for attributes the instance does not hold: a weight read
+        # before the draw draws them all.  Afterwards each weight is a plain
+        # instance attribute, so reads cost nothing extra.
+        if name in _WEIGHT_NAMES:
+            self.load_weights()
+            return vars(self)[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _pool_frames(self, decoded: DecodedClip) -> np.ndarray:
         if self.pooling == "middle":
@@ -271,6 +314,10 @@ class ConcatExtractor(FeatureExtractor):
     def components(self) -> list[FeatureExtractor]:
         return list(self._extractors)
 
+    def load_weights(self) -> None:
+        for extractor in self._extractors:
+            extractor.load_weights()
+
     def extract(self, decoded: DecodedClip) -> np.ndarray:
         return np.concatenate([extractor.extract(decoded) for extractor in self._extractors])
 
@@ -313,6 +360,9 @@ def build_default_registry(
             dataset; missing names default to 0.5, and "random" is forced to 0.
         seed: Seed for all projection matrices.
         include_concat: Also register a concatenation of the five extractors.
+
+    No weights are drawn here: each extractor draws its own on first use
+    (see :meth:`SimulatedExtractor.load_weights`).
     """
     extractors: list[FeatureExtractor] = []
     for name in DEFAULT_EXTRACTOR_NAMES:

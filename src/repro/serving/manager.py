@@ -238,16 +238,22 @@ class SessionManager:
 
     # --------------------------------------------------------------- admission
     def _admit_locked(self, name: str, create: bool) -> None:
-        known = set(self.factory.list_sessions()) | set(self._resident)
-        if name in known:
+        """Admit a known session; admit a new one only under ``max_sessions``.
+
+        Only the create path lists the session root (a directory scan plus a
+        stat per session); a known name costs one ``exists`` check.
+        """
+        if name in self._resident or self.factory.exists(name):
             return
         if not create:
             raise SessionNotFoundError(f"session {name!r} does not exist")
-        if self.max_sessions and len(known) >= self.max_sessions:
-            raise AdmissionError(
-                f"session limit reached ({self.max_sessions}); "
-                f"cannot admit new session {name!r}"
-            )
+        if self.max_sessions:
+            known = set(self.factory.list_sessions()) | set(self._resident)
+            if len(known) >= self.max_sessions:
+                raise AdmissionError(
+                    f"session limit reached ({self.max_sessions}); "
+                    f"cannot admit new session {name!r}"
+                )
 
     def open(self, name: str) -> dict:
         """Admit (creating or restoring) a session; returns its summary.
@@ -494,20 +500,30 @@ class SessionManager:
         deterministically), a serving client will not resend them, so they
         are re-applied here and immediately re-checkpointed — rolling the
         journal so a later recovery cannot double-apply them.  Returns the
-        :class:`~repro.core.api.RecoveryReport` for the caller's logs.
+        :class:`~repro.core.api.RecoveryReport` for the caller's logs.  When
+        the restore raises, ``vocal`` is closed before the error propagates,
+        so the unusable instance releases its journal handle and is freed at
+        once.
         """
-        report = vocal.resume()
-        if report.tail_labels:
-            vocal.session.add_labels(report.tail_labels)
-            vocal.checkpoint()
-            self.metrics.counter("serving.recovered_tail_labels").add(
-                len(report.tail_labels)
-            )
-            logger.warning(
-                "session %s: re-applied %d durable labels from the journal tail",
-                name,
-                len(report.tail_labels),
-            )
+        try:
+            report = vocal.resume()
+            if report.tail_labels:
+                vocal.session.add_labels(report.tail_labels)
+                vocal.checkpoint()
+                self.metrics.counter("serving.recovered_tail_labels").add(
+                    len(report.tail_labels)
+                )
+                logger.warning(
+                    "session %s: re-applied %d durable labels from the journal tail",
+                    name,
+                    len(report.tail_labels),
+                )
+        except BaseException:
+            try:
+                vocal.close()
+            except Exception:
+                logger.exception("session %s: closing the unrestored instance failed", name)
+            raise
         return report
 
     # ----------------------------------------------------------------- eviction

@@ -101,30 +101,52 @@ class VideoCorpus:
         start_time: float = 0.0,
         fps: float = 30.0,
     ) -> CorpusVideo:
-        """Register one synthetic video and return it."""
-        unknown = set(track.activities()) - set(self.class_names)
-        if unknown:
-            raise VideoError(f"track uses activities not in the corpus vocabulary: {sorted(unknown)}")
-        vid = self._next_vid
-        self._next_vid += 1
-        record = VideoRecord(
-            vid=vid,
-            path=path if path is not None else f"synthetic://video/{vid}.mp4",
-            duration=track.duration,
-            start_time=start_time,
-            fps=fps,
-        )
-        video = CorpusVideo(record=record, track=track)
-        self._videos[vid] = video
-        video_rng = np.random.default_rng((self.seed, vid, 0xA5))
-        self._video_noise[vid] = (
-            video_rng.standard_normal(self.latent_dim) * self.per_video_noise * self._noise_unit
-        )
-        return video
+        """Register one synthetic video and return it (:meth:`add_videos` of one track)."""
+        return self._register([track], [path], start_time, fps)[0]
 
     def add_videos(self, tracks: Iterable[ActivityTrack]) -> list[CorpusVideo]:
-        """Register several videos; returns them in order."""
-        return [self.add_video(track) for track in tracks]
+        """Register several videos; returns them in order.
+
+        Each video's appearance noise is ``default_rng((seed, vid, 0xA5))``'s
+        normal draw, and the streams of the whole batch are seeded in one
+        pass (:func:`~repro.video.streams.standard_normal_rows`).  Nothing is
+        registered when any track uses an activity outside the vocabulary.
+        """
+        tracks = list(tracks)
+        return self._register(tracks, [None] * len(tracks))
+
+    def _register(
+        self,
+        tracks: list[ActivityTrack],
+        paths: list[str | None],
+        start_time: float = 0.0,
+        fps: float = 30.0,
+    ) -> list[CorpusVideo]:
+        for track in tracks:
+            unknown = set(track.activities()) - set(self.class_names)
+            if unknown:
+                raise VideoError(
+                    f"track uses activities not in the corpus vocabulary: {sorted(unknown)}"
+                )
+        vids = np.arange(self._next_vid, self._next_vid + len(tracks), dtype=np.int64)
+        self._next_vid += len(tracks)
+        noise = standard_normal_rows([self.seed, vids, 0xA5], self.latent_dim)
+        noise *= self.per_video_noise
+        noise *= self._noise_unit
+        videos = []
+        for vid, track, path, video_noise in zip(vids.tolist(), tracks, paths, noise):
+            record = VideoRecord(
+                vid=vid,
+                path=path if path is not None else f"synthetic://video/{vid}.mp4",
+                duration=track.duration,
+                start_time=start_time,
+                fps=fps,
+            )
+            video = CorpusVideo(record=record, track=track)
+            self._videos[vid] = video
+            self._video_noise[vid] = video_noise
+            videos.append(video)
+        return videos
 
     # ------------------------------------------------------------------- reads
     def video(self, vid: int) -> CorpusVideo:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import TelemetryConfig, VocalExploreConfig
 from repro.exceptions import AdmissionError, ServingError, SessionNotFoundError
+from repro.features import pretrained
 from repro.serving import CorpusSessionFactory, SessionManager
 
 
@@ -58,9 +59,48 @@ class TestAdmission:
             with pytest.raises(AdmissionError):
                 manager.open("c")
 
+    def test_known_sessions_are_admitted_without_listing_the_root(self, factory):
+        listings = []
+        list_sessions = factory.list_sessions
+
+        def spy():
+            listings.append(1)
+            return list_sessions()
+
+        factory.list_sessions = spy
+        with SessionManager(factory, max_resident=1, max_sessions=3) as manager:
+            manager.open("a")
+            manager.open("b")  # evicts a
+            assert len(listings) == 2  # one per new name, to count sessions
+            manager.open("a")  # paged out: restored
+            manager.open("a")  # resident
+            with manager.acquire("b", create=False):
+                pass
+            assert len(listings) == 2
+
     def test_illegal_session_name_raises(self, manager):
         with pytest.raises(ServingError, match="illegal"):
             manager.open("no/slashes")
+
+
+class TestWeights:
+    def test_a_restored_session_has_drawn_exactly_its_candidates(
+        self, factory, manager, monkeypatch
+    ):
+        manager.open("a")
+        manager.evict("a")
+        drawn = []
+        draw = pretrained._draw_weights
+
+        def counting_draw(seed, spec, latent_dim):
+            drawn.append(spec.name)
+            return draw(seed, spec, latent_dim)
+
+        monkeypatch.setattr(pretrained, "_draw_weights", counting_draw)
+        vocal = factory.build("a")
+        vocal.resume()
+        assert sorted(drawn) == sorted(factory.candidate_features)
+        vocal.close()
 
 
 class TestEviction:

@@ -5,10 +5,12 @@ only reachable through a reference cycle would stay alive.  Each path that
 drops a resident instance — LRU eviction, ``evict()``, discarding a poisoned
 entry, a quarantine rollback, and ``SessionManager.close()`` — must free the
 old instance's ``ExplorationSession``, ``StorageManager`` and
-``TaskScheduler`` at once.  The ``wrapped`` variants install per-instance
-wrappers the way a benchmark harness does (a closure over the instance's own
-bound method, stored on the instance), which puts the ``VOCALExplore``
-handle itself in a cycle; closing the handle must still free its session.
+``TaskScheduler`` at once.  So must a freshly built instance whose restore
+fails, on admission or in a rollback.  The ``wrapped`` variants install
+per-instance wrappers the way a benchmark harness does (a closure over the
+instance's own bound method, stored on the instance), which puts the
+``VOCALExplore`` handle itself in a cycle; closing the handle must still free
+its session.
 """
 
 from __future__ import annotations
@@ -98,6 +100,34 @@ def _fail_next_build(manager: SessionManager) -> None:
     manager.factory.build = flaky_build
 
 
+def _fail_next_resume(manager: SessionManager) -> list[str]:
+    """Make the next instance the factory builds fail its ``resume``.
+
+    Returns the list that finalizers on that instance's session, storage and
+    scheduler append to as each is freed (see :func:`_watch`).
+    """
+    build = manager.factory.build
+    freed: list[str] = []
+    left = [1]
+
+    def build_unrestorable(name):
+        vocal = build(name)
+        if left[0]:
+            left[0] -= 1
+            session = vocal.session
+            for obj in (session, session.storage, session.scheduler):
+                weakref.finalize(obj, freed.append, type(obj).__name__)
+
+            def resume():
+                raise RuntimeError("snapshot unreadable")
+
+            vocal.resume = resume
+        return vocal
+
+    manager.factory.build = build_unrestorable
+    return freed
+
+
 def _crash_inside(manager: SessionManager, name: str) -> None:
     with manager.supervised(name, create=False) as vocal:
         vocal.explore(2)
@@ -144,6 +174,27 @@ class TestReleasedSessionsAreFreed:
             entry = manager.stats()["resident"][0]
             assert entry == {"session": "a", "poisoned": True, "pinned": 0, "requests": 3}
             # The next request discards the poisoned entry and rebuilds it.
+            assert manager.open("a")["labels"] == 2
+
+    def test_failed_restore_on_admission(self, wrapped_factory, dataset):
+        with SessionManager(wrapped_factory, max_resident=2) as manager:
+            _one_iteration(manager, "a", dataset.class_names[0])
+            manager.evict("a")
+            freed = _fail_next_resume(manager)
+            with pytest.raises(RuntimeError, match="snapshot unreadable"):
+                manager.open("a")
+            assert sorted(freed) == RELEASED
+            assert not manager.is_resident("a")
+            assert manager.open("a")["labels"] == 2
+
+    def test_failed_restore_in_a_rollback(self, wrapped_factory, dataset):
+        with SessionManager(wrapped_factory, max_resident=2) as manager:
+            _one_iteration(manager, "a", dataset.class_names[0])
+            freed = _fail_next_resume(manager)
+            with pytest.raises(SessionQuarantinedError, match="rollback itself failed"):
+                _crash_inside(manager, "a")
+            assert sorted(freed) == RELEASED
+            assert manager.stats()["resident"][0]["poisoned"] is True
             assert manager.open("a")["labels"] == 2
 
     def test_manager_close(self, wrapped_factory, dataset):

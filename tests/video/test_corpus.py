@@ -7,6 +7,7 @@ from repro.exceptions import UnknownVideoError, VideoError
 from repro.types import ClipSpec
 from repro.video.activity import ActivitySegment, ActivityTrack
 from repro.video.corpus import VideoCorpus
+from repro.video.streams import MIN_VECTORIZED_BATCH
 
 
 def single_activity_track(activity, duration=10.0):
@@ -49,6 +50,49 @@ class TestCorpusConstruction:
     def test_class_prototype_unknown(self):
         with pytest.raises(VideoError):
             VideoCorpus(["a"]).class_prototype("b")
+
+
+class TestBatchedRegistration:
+    """``add_videos`` seeds every video's noise in one pass, bit-identically."""
+
+    @staticmethod
+    def _per_video_noise(corpus, vid):
+        rng = np.random.default_rng((corpus.seed, vid, 0xA5))
+        return rng.standard_normal(corpus.latent_dim) * corpus.per_video_noise * corpus._noise_unit
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (MIN_VECTORIZED_BATCH - 1,), (MIN_VECTORIZED_BATCH,), (3, 2 * MIN_VECTORIZED_BATCH)],
+        ids=["one", "below-cutoff", "at-cutoff", "two-batches"],
+    )
+    def test_noise_equals_the_per_video_formula(self, sizes):
+        corpus = VideoCorpus(["a", "b"], latent_dim=24, per_video_noise=0.4, seed=6)
+        for size in sizes:
+            corpus.add_videos(single_activity_track("ab"[i % 2]) for i in range(size))
+        assert corpus.vids() == list(range(sum(sizes)))
+        for vid in corpus.vids():
+            assert np.array_equal(corpus._video_noise[vid], self._per_video_noise(corpus, vid))
+
+    def test_one_at_a_time_equals_batched(self):
+        tracks = [
+            ActivityTrack(8.0, [ActivitySegment(0.0, 8.0, "ab"[i % 2])])
+            for i in range(2 * MIN_VECTORIZED_BATCH + 3)
+        ]
+        single = VideoCorpus(["a", "b"], seed=2)
+        for track in tracks:
+            single.add_video(track)
+        batched = VideoCorpus(["a", "b"], seed=2)
+        batched.add_videos(tracks)
+        assert single.records() == batched.records()
+        clips = [ClipSpec(vid, 1.0, 3.5) for vid in batched.vids()]
+        assert np.array_equal(single.clip_latents(clips), batched.clip_latents(clips))
+
+    def test_a_bad_track_registers_nothing(self):
+        corpus = VideoCorpus(["a"])
+        with pytest.raises(VideoError):
+            corpus.add_videos([single_activity_track("a"), single_activity_track("z")])
+        assert len(corpus) == 0
+        assert corpus.add_video(single_activity_track("a")).vid == 0
 
 
 class TestGroundTruth:
