@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...config import IndexConfig
 from ...exceptions import AcquisitionError
 from ...types import ClipSpec
 from ..clustering import kmeans
@@ -33,8 +34,7 @@ class ClusterMarginAcquisition(FeatureAcquisition):
         self,
         margin_pool_multiplier: float = 2.0,
         clusters_per_batch: int = 2,
-        index_backend: str = "exact",
-        index_params: dict | None = None,
+        index: IndexConfig = IndexConfig(),
     ) -> None:
         """Configure the method.
 
@@ -45,10 +45,9 @@ class ClusterMarginAcquisition(FeatureAcquisition):
                 (Citovsky et al. use substantially more clusters than the
                 batch size; the shortlist here is small so a small factor
                 suffices).
-            index_backend: ``repro.index`` backend used by the k-means
-                nearest-centroid assignments ("exact" matches brute force
-                bit-for-bit).
-            index_params: Extra constructor kwargs for the backend.
+            index: ``repro.index`` backend used by the k-means
+                nearest-centroid assignments (the exact default matches
+                brute force bit-for-bit).
         """
         if margin_pool_multiplier < 1.0:
             raise AcquisitionError("margin_pool_multiplier must be >= 1")
@@ -56,8 +55,7 @@ class ClusterMarginAcquisition(FeatureAcquisition):
             raise AcquisitionError("clusters_per_batch must be >= 1")
         self.margin_pool_multiplier = float(margin_pool_multiplier)
         self.clusters_per_batch = int(clusters_per_batch)
-        self.index_backend = index_backend
-        self.index_params = dict(index_params or {})
+        self.index = index
 
     def _margins(self, context: AcquisitionContext) -> np.ndarray:
         features = np.asarray(context.candidate_features, dtype=np.float64)
@@ -98,8 +96,7 @@ class ClusterMarginAcquisition(FeatureAcquisition):
             features[shortlist],
             num_clusters,
             rng=rng,
-            index_backend=self.index_backend,
-            index_params=self.index_params,
+            index=self.index,
         )
 
         # Round-robin across clusters, smallest cluster first (as in the paper

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...config import IndexConfig
 from ...exceptions import AcquisitionError
-from ...index import build_index, pairwise_sq_distances
+from ...index import make_index, pairwise_sq_distances
 from ...types import ClipSpec
 from .base import AcquisitionContext, FeatureAcquisition
 
@@ -29,20 +30,18 @@ class CoresetAcquisition(FeatureAcquisition):
     name = "coreset"
     requires_model = False
 
-    def __init__(self, index_backend: str = "exact", index_params: dict | None = None,
-                 seed: int = 0) -> None:
+    def __init__(self, index: IndexConfig = IndexConfig(), seed: int = 0) -> None:
         """Configure the nearest-neighbour backend used for initialisation.
 
         Args:
-            index_backend: ``repro.index`` backend for the candidate-to-labeled
-                1-NN search.  "exact" reproduces the brute-force selections
-                (distances agree with the difference-tensor formulation to
-                float rounding, so only degenerate sub-ulp ties could differ).
-            index_params: Extra constructor kwargs for the backend.
+            index: ``repro.index`` backend for the candidate-to-labeled 1-NN
+                search.  The exact default reproduces the brute-force
+                selections (distances agree with the difference-tensor
+                formulation to float rounding, so only degenerate sub-ulp
+                ties could differ).
             seed: Seed for the backend's RNG (ANN backends only).
         """
-        self.index_backend = index_backend
-        self.index_params = dict(index_params or {})
+        self.index = index
         self.seed = int(seed)
 
     def select(
@@ -67,7 +66,7 @@ class CoresetAcquisition(FeatureAcquisition):
         chosen: list[int] = []
         count = min(count, len(candidates))
         if labeled.size:
-            index = build_index(self.index_backend, seed=self.seed, **self.index_params)
+            index = make_index(self.index, seed=self.seed)
             index.build(labeled)
             nearest_sq, nearest = index.search(features, 1)
             distances = nearest_sq[:, 0]

@@ -124,10 +124,6 @@ class RisingBanditSelector:
         """Every (step, arm, lower, upper) computed so far (Figure 6 data)."""
         return list(self._bound_trace)
 
-    def elimination_steps(self) -> dict[str, int | None]:
-        """Step at which each arm was eliminated (None when still active)."""
-        return {name: arm.eliminated_at for name, arm in self._arms.items()}
-
     def _require_arm(self, arm: str) -> None:
         if arm not in self._arms:
             raise FeatureSelectionError(f"unknown arm {arm!r}; known arms: {list(self._arms)}")

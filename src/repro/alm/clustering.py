@@ -8,16 +8,17 @@ sufficient for that purpose.
 
 All nearest-centroid math comes from the ``repro.index`` subsystem: the
 default exact path runs its shared norm-expansion kernel (bit-identical
-assignments, centroids, and inertia vs the seed implementation), while an ANN
-backend can be selected via configuration for very large pools.
+assignments, centroids, and inertia vs the seed implementation), while an
+``IndexConfig`` naming an ANN backend serves very large pools.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..config import IndexConfig
 from ..exceptions import ALMError
-from ..index import build_index, canonical_backend
+from ..index import make_index
 from ..index.distances import pairwise_sq_distances, squared_norms
 
 __all__ = ["KMeansResult", "kmeans"]
@@ -65,8 +66,7 @@ def _assign(
     points: np.ndarray,
     points_sq: np.ndarray,
     centroids: np.ndarray,
-    index_backend: str,
-    index_params: dict | None,
+    index: IndexConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(assignments, squared distance to the assigned centroid).
 
@@ -78,13 +78,13 @@ def _assign(
     and every point must have an assignment, so misses fall back to the exact
     kernel.
     """
-    if canonical_backend(index_backend) == "exact":
+    if index.backend == "exact":
         sq = pairwise_sq_distances(points, centroids, points_sq=points_sq)
         assignments = sq.argmin(axis=1)
         return assignments, sq[np.arange(points.shape[0]), assignments]
-    index = build_index(index_backend, **(index_params or {}))
-    index.build(centroids)
-    sq, nearest = index.search(points, 1)
+    ann = make_index(index)
+    ann.build(centroids)
+    sq, nearest = ann.search(points, 1)
     assignments = nearest[:, 0].copy()
     min_sq = sq[:, 0].copy()
     missed = assignments < 0
@@ -103,8 +103,7 @@ def kmeans(
     rng: np.random.Generator | None = None,
     max_iterations: int = 50,
     tolerance: float = 1e-6,
-    index_backend: str = "exact",
-    index_params: dict | None = None,
+    index: IndexConfig = IndexConfig(),
 ) -> KMeansResult:
     """Cluster ``points`` into ``num_clusters`` groups.
 
@@ -114,9 +113,8 @@ def kmeans(
         rng: Random generator used for initialisation.
         max_iterations: Maximum Lloyd iterations.
         tolerance: Stop when the centroid shift falls below this value.
-        index_backend: ``repro.index`` backend used for nearest-centroid
-            assignment ("exact" reproduces the brute-force path bit-for-bit).
-        index_params: Extra constructor kwargs for the index backend.
+        index: ``repro.index`` backend used for nearest-centroid assignment
+            (the exact default reproduces the brute-force path bit-for-bit).
 
     Raises:
         ALMError: when ``points`` is empty or not 2-D.
@@ -132,7 +130,7 @@ def kmeans(
     centroids = _init_centroids(points, k, rng)
     assignments = np.zeros(n, dtype=np.int64)
     for __ in range(max_iterations):
-        assignments, min_sq = _assign(points, points_sq, centroids, index_backend, index_params)
+        assignments, min_sq = _assign(points, points_sq, centroids, index)
         counts = np.bincount(assignments, minlength=k)
         sums = np.zeros_like(centroids)
         np.add.at(sums, assignments, points)
@@ -148,6 +146,6 @@ def kmeans(
         if shift < tolerance:
             break
 
-    assignments, final_sq = _assign(points, points_sq, centroids, index_backend, index_params)
+    assignments, final_sq = _assign(points, points_sq, centroids, index)
     inertia = float(final_sq.sum())
     return KMeansResult(assignments=assignments, centroids=centroids, inertia=inertia)

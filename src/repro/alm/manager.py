@@ -71,7 +71,7 @@ class ActiveLearningManager:
         alm_config: ALMConfig | None = None,
         selection_config: FeatureSelectionConfig | None = None,
         seed: int = 0,
-        index_config: IndexConfig | None = None,
+        index: IndexConfig = IndexConfig(),
     ) -> None:
         self.videos = video_store
         self.labels = label_store
@@ -81,21 +81,13 @@ class ActiveLearningManager:
         self.selection_config = (
             selection_config if selection_config is not None else FeatureSelectionConfig()
         )
-        self.index_config = index_config if index_config is not None else IndexConfig()
         self.rng = np.random.default_rng(seed)
 
         self.skew_detector = SkewDetector(self.config)
         self.bandit = RisingBanditSelector(candidate_features, self.selection_config)
         self._random = RandomAcquisition(feature_manager.sampler)
-        self._coreset = CoresetAcquisition(
-            index_backend=self.index_config.backend,
-            index_params=self.index_config.params(),
-            seed=seed,
-        )
-        self._cluster_margin = ClusterMarginAcquisition(
-            index_backend=self.index_config.backend,
-            index_params=self.index_config.params(),
-        )
+        self._coreset = CoresetAcquisition(index=index, seed=seed)
+        self._cluster_margin = ClusterMarginAcquisition(index=index)
         self._rare_category = RareCategoryUncertaintyAcquisition()
         self._iteration = 0
         self._last_skew: SkewDecision | None = None
@@ -354,8 +346,3 @@ class ActiveLearningManager:
                 start = max(clip.start, midpoint - half)
                 trimmed.append(ClipSpec(clip.vid, start, start + clip_duration))
         return trimmed
-
-    # ----------------------------------------------------------------- metrics
-    def label_diversity(self) -> float:
-        """S_max of the labels collected so far (lower is more diverse)."""
-        return self.labels.diversity_smax()

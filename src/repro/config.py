@@ -245,16 +245,6 @@ class IndexConfig:
         if self.retrain_factor <= 0:
             raise ValueError("retrain_factor must be > 0")
 
-    def params(self) -> dict[str, Any]:
-        """Constructor kwargs for ``repro.index.build_index`` (seed excluded)."""
-        if self.backend == "ivf-flat":
-            return {
-                "nlist": self.nlist,
-                "nprobe": self.nprobe,
-                "retrain_factor": self.retrain_factor,
-            }
-        return {}
-
 
 @dataclass(frozen=True)
 class TelemetryConfig:

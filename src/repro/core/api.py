@@ -114,7 +114,7 @@ class VOCALExplore:
             config.alm,
             config.feature_selection,
             seed=config.seed,
-            index_config=config.index,
+            index=config.index,
         )
         session = ExplorationSession(
             corpus, storage, feature_manager, model_manager, alm, config, cost_model

@@ -337,16 +337,7 @@ def _capture_bandit(session: "ExplorationSession") -> dict:
 
 def _capture_features_meta(session: "ExplorationSession") -> dict:
     store = session.storage.features
-    specs = {
-        fid: [shard._vindex_spec[0], shard._vindex_spec[1]]
-        for fid, shard in store._shards.items()
-    }
-    pending = {fid: [spec[0], spec[1]] for fid, spec in store._pending_index.items()}
-    return {
-        "epochs": {fid: shard.epoch for fid, shard in store._shards.items()},
-        "index_specs": specs,
-        "pending_index": pending,
-    }
+    return {"epochs": {fid: shard.epoch for fid, shard in store._shards.items()}}
 
 
 def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tuple[dict, dict]:
@@ -577,17 +568,13 @@ def restore_snapshot_files(session: "ExplorationSession", directory: Path) -> di
             )
         else:
             shards[fid] = None
+    # Snapshots written by older versions also hold each shard's index
+    # backend; the backend is configuration (the session's IndexConfig), so
+    # those keys are ignored.
     storage.features.restore_columns(
         shards,
         dims,
         epochs={fid: int(epoch) for fid, epoch in features_meta["epochs"].items()},
-        # Pending specs name extractors with no shard yet, so the store
-        # holds them aside again; every spec's backend is checked first.
-        index_specs={
-            fid: (spec[0], spec[1])
-            for section in ("pending_index", "index_specs")
-            for fid, spec in features_meta[section].items()
-        },
     )
     _restore_registry(session, state["registry"], arrays)
     _restore_models(session, state["models"], arrays)

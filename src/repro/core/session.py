@@ -402,7 +402,6 @@ class ExplorationSession:
                 raise ReproError(f"no {feature} features available to search")
 
             index = self.config.index
-            store.attach_index(feature, index.backend, seed=self.config.seed, **index.params())
             approximate = index.backend != "exact"
             self.scheduler.run_foreground(
                 Task(
@@ -417,7 +416,9 @@ class ExplorationSession:
             exclude = (
                 store.resolve_clips(feature, [query_clip])[0] if query_clip is not None else None
             )
-            distances, rows = store.search(feature, query_vector, k + (exclude is not None))
+            distances, rows = store.search(
+                feature, query_vector, k + (exclude is not None), index, self.config.seed
+            )
             hits: list[SearchHit] = []
             for distance, clip in zip(distances[0], store.clips_at(feature, rows[0])):
                 if clip is None or clip == exclude:
@@ -673,13 +674,10 @@ class ExplorationSession:
         monotonically assigned task ids preserve the original (priority, id)
         dispatch order.
         """
-        action_spec = spec.get("action_spec")
-        action = self._rebuild_action(action_spec) if action_spec is not None else None
-        task = Task(
+        task = self._spec_task(
+            spec.get("action_spec"),
             kind=spec["kind"],
             duration=float(spec["duration"]),
-            action=action,
-            action_spec=action_spec,
             priority=int(spec["priority"]),
             description=spec.get("description", ""),
             available_at=float(spec["available_at"]),
@@ -687,8 +685,18 @@ class ExplorationSession:
         task.remaining = float(spec["remaining"])
         self.scheduler.submit(task)
 
+    def _spec_task(self, action_spec: dict | None, **fields) -> Task:
+        """A task whose action is derived from ``action_spec``.
+
+        Queued tasks carry only their spec; fresh submits and checkpoint
+        resubmits both take the action from :meth:`_rebuild_action`, so a
+        resumed task runs the same code as the original.
+        """
+        action = self._rebuild_action(action_spec) if action_spec is not None else None
+        return Task(action=action, action_spec=action_spec, **fields)
+
     def _rebuild_action(self, spec: dict):
-        """Closure for one checkpointed action spec (see the submit sites)."""
+        """Closure for one action spec (see the submit sites)."""
         op = spec.get("op")
         if op == "train":
             limit = spec.get("label_limit")
@@ -802,13 +810,10 @@ class ExplorationSession:
         labels_before = min(max(labels_before, self._labels_at_iteration_start), total_labels)
         label_limit = labels_before if labels_before > 0 else None
         self.scheduler.submit(
-            Task(
+            self._spec_task(
+                {"op": "train", "feature": feature, "label_limit": label_limit},
                 kind=TaskKind.MODEL_TRAINING,
                 duration=self.cost_model.training_time(labels_before),
-                action=lambda at, f=feature, limit=label_limit: self.models.train_if_possible(
-                    f, at_time=at, label_limit=limit
-                ),
-                action_spec={"op": "train", "feature": feature, "label_limit": label_limit},
                 description=f"JIT train {feature} on {labels_before} labels",
             ),
             available_at=self.clock.now + offset,
@@ -824,11 +829,10 @@ class ExplorationSession:
         self._round_scores = {}
         for name in active:
             self.scheduler.submit(
-                Task(
+                self._spec_task(
+                    {"op": "evaluate", "feature": name},
                     kind=TaskKind.FEATURE_EVALUATION,
                     duration=self.cost_model.evaluation_time(num_labels),
-                    action=lambda at, n=name: self._record_feature_score(n),
-                    action_spec={"op": "evaluate", "feature": name},
                     description=f"evaluate feature {name}",
                 )
             )
@@ -911,11 +915,10 @@ class ExplorationSession:
         duration = self.cost_model.extraction_batch_time(
             spec, len(batch), self._mean_video_duration()
         )
-        return Task(
+        return self._spec_task(
+            {"op": "eager", "feature": feature_for_batch, "vids": list(batch)},
             kind=TaskKind.EAGER_FEATURE_EXTRACTION,
             duration=duration,
-            action=self._eager_action(feature_for_batch, tuple(batch)),
-            action_spec={"op": "eager", "feature": feature_for_batch, "vids": list(batch)},
             description=f"eager extract {len(batch)} videos with {feature_for_batch}",
         )
 

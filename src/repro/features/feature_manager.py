@@ -68,18 +68,9 @@ class FeatureManager:
         self._lock = threading.RLock()
 
     # ---------------------------------------------------------------- plumbing
-    @property
-    def pipeline_stats(self):
-        """Counters of pipelines built and clips processed (for cost accounting)."""
-        return self._pipeline.stats
-
     def extractor(self, name: str) -> FeatureExtractor:
         """Return the registered extractor called ``name``."""
         return self.registry.get(name)
-
-    def extractor_names(self) -> list[str]:
-        """Names of every registered extractor."""
-        return self.registry.names()
 
     @contextmanager
     def reserve(self, blocking: bool = True) -> Iterator[bool]:
@@ -205,11 +196,6 @@ class FeatureManager:
         """Boolean mask of exact-clip feature coverage, aligned with ``clips``."""
         with self._lock:
             return self.store.has_many(fid, clips)
-
-    def candidate_pool(self, fid: str) -> tuple[list[ClipSpec], np.ndarray]:
-        """All stored clips and vectors for ``fid`` (the active-learning candidate set)."""
-        with self._lock:
-            return self.store.all_vectors(fid)
 
     def candidate_pool_columns(
         self, fid: str

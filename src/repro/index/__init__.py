@@ -6,19 +6,15 @@ Two backends behind one :class:`VectorIndex` API:
 * :class:`IVFFlatIndex` — k-means coarse quantizer + inverted lists with an
   ``nprobe`` knob; incremental adds with periodic re-training.
 
-All pure numpy, batched, and deterministic under a seeded RNG.  The shared
-distance kernel lives in :mod:`repro.index.distances` and is also imported by
-the ALM's k-means and coreset acquisition, so every distance in the system is
-computed the same way.
+All pure numpy, batched, and deterministic under a seeded RNG.
+:func:`make_index` builds the backend an :class:`~repro.config.IndexConfig`
+names.  The shared distance kernel lives in :mod:`repro.index.distances` and
+is also imported by the ALM's k-means and coreset acquisition, so every
+distance in the system is computed the same way.
 """
 
-from .base import (
-    VectorIndex,
-    build_index,
-    canonical_backend,
-    index_backends,
-    register_backend,
-)
+from ..config import IndexConfig
+from .base import VectorIndex
 from .distances import pairwise_sq_distances, squared_norms
 from .exact import ExactIndex
 from .ivf_flat import IVFFlatIndex
@@ -27,10 +23,19 @@ __all__ = [
     "VectorIndex",
     "ExactIndex",
     "IVFFlatIndex",
-    "build_index",
-    "canonical_backend",
-    "index_backends",
-    "register_backend",
+    "make_index",
     "pairwise_sq_distances",
     "squared_norms",
 ]
+
+
+def make_index(config: IndexConfig, seed: int = 0) -> VectorIndex:
+    """A fresh, empty index of the backend ``config`` names, seeded with ``seed``."""
+    if config.backend == "ivf-flat":
+        return IVFFlatIndex(
+            nlist=config.nlist,
+            nprobe=config.nprobe,
+            retrain_factor=config.retrain_factor,
+            seed=seed,
+        )
+    return ExactIndex(seed=seed)

@@ -1,4 +1,4 @@
-"""The :class:`VectorIndex` abstract API and backend registry.
+"""The :class:`VectorIndex` abstract API and shared top-k helpers.
 
 A vector index answers batched k-nearest-neighbour queries over a set of
 ``(n, d)`` float vectors.  The contract shared by every backend:
@@ -13,64 +13,16 @@ A vector index answers batched k-nearest-neighbour queries over a set of
 * every backend is pure numpy and deterministic under its seeded RNG: the same
   build/add/search sequence always produces the same results.
 
-Backends register themselves with :func:`register_backend`;
-:func:`build_index` is the factory used by configuration-driven callers.
+:func:`repro.index.make_index` builds the backend a configuration names.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
 from ..exceptions import VectorIndexError
 
-__all__ = ["VectorIndex", "register_backend", "build_index", "index_backends"]
-
-_BACKENDS: dict[str, type["VectorIndex"]] = {}
-
-#: Accepted spellings per canonical backend name.
-_ALIASES = {
-    "ivf": "ivf-flat",
-    "ivf_flat": "ivf-flat",
-    "ivfflat": "ivf-flat",
-    "brute-force": "exact",
-    "flat": "exact",
-}
-
-
-def register_backend(cls: type["VectorIndex"]) -> type["VectorIndex"]:
-    """Class decorator adding a backend to the factory registry."""
-    _BACKENDS[cls.backend] = cls
-    return cls
-
-
-def index_backends() -> list[str]:
-    """Canonical names of every registered backend."""
-    return sorted(_BACKENDS)
-
-
-def canonical_backend(backend: str) -> str:
-    """Resolve a backend alias ("ivf", "flat", ...) to its registered name.
-
-    Raises:
-        VectorIndexError: when no registered backend has that name.
-    """
-    canonical = _ALIASES.get(backend, backend)
-    if canonical not in _BACKENDS:
-        raise VectorIndexError(
-            f"unknown index backend {backend!r}; known: {index_backends()}"
-        )
-    return canonical
-
-
-def build_index(backend: str, **params: Any) -> "VectorIndex":
-    """Instantiate a registered backend by name (aliases accepted).
-
-    Raises:
-        VectorIndexError: when the backend name is unknown.
-    """
-    return _BACKENDS[canonical_backend(backend)](**params)
+__all__ = ["VectorIndex"]
 
 
 def as_matrix(vectors: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -152,9 +104,6 @@ def pad_hits(distances: np.ndarray, indices: np.ndarray, k: int) -> tuple[np.nda
 
 class VectorIndex:
     """Abstract batched k-NN index over float vectors."""
-
-    #: Canonical backend name used by the factory.
-    backend: str = "abstract"
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)

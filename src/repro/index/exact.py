@@ -16,7 +16,6 @@ from .base import (
     as_matrix,
     as_queries,
     pad_hits,
-    register_backend,
     topk_hits,
 )
 from .distances import pairwise_sq_distances, squared_norms
@@ -27,11 +26,8 @@ __all__ = ["ExactIndex"]
 _BLOCK_ENTRIES = 4_000_000
 
 
-@register_backend
 class ExactIndex(VectorIndex):
     """Brute-force scan over all stored vectors; exact by construction."""
-
-    backend = "exact"
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed=seed)

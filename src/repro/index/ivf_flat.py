@@ -31,7 +31,6 @@ from .base import (
     as_queries,
     order_hits,
     pad_hits,
-    register_backend,
     topk_unsorted,
 )
 from .distances import pairwise_sq_distances, squared_norms
@@ -72,11 +71,8 @@ def _kmeans_lite(
     return centroids
 
 
-@register_backend
 class IVFFlatIndex(VectorIndex):
     """Inverted-file index with flat (uncompressed) storage."""
-
-    backend = "ivf-flat"
 
     def __init__(
         self,

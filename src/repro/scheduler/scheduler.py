@@ -179,10 +179,6 @@ class TaskScheduler:
             task.available_at = float(available_at)
         heapq.heappush(self._queue, (task.priority, task.task_id, task))
 
-    def pending_count(self) -> int:
-        """Number of queued background tasks."""
-        return len(self._queue)
-
     def has_pending(self, kind: str | None = None) -> bool:
         """True when background tasks (optionally of one kind) are still queued."""
         if kind is None:

@@ -31,7 +31,6 @@ class ReplayStats:
     videos_applied: int = 0
     feature_rows_applied: int = 0
     models_applied: int = 0
-    index_events: int = 0
     skipped: int = 0
     #: Session-level iteration markers seen (not applied to any store).
     iterations_seen: list[int] = field(default_factory=list)
@@ -136,15 +135,10 @@ def replay_records(storage: "StorageManager", records: Iterable[dict]) -> Replay
                 )
                 storage.models.restore_entry(info, rebuild_model(record["model"]))
                 stats.models_applied += 1
-            elif kind == "index_attach":
-                storage.features.attach_index(
-                    str(record["fid"]), str(record["backend"]), **record.get("params", {})
-                )
-                stats.index_events += 1
-            elif kind == "index_sync":
-                # Informational: the in-memory ANN index is rebuilt lazily on
-                # the next search, so a sync event needs no replay action.
-                stats.index_events += 1
+            elif kind in ("index_attach", "index_sync"):
+                # Journals written by older versions record index choices;
+                # the backend is configuration (IndexConfig), so skip them.
+                stats.skipped += 1
             elif kind == "iteration":
                 stats.iterations_seen.append(int(record["iteration"]))
             else:

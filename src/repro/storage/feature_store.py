@@ -16,11 +16,11 @@ Lookup paths:
   and, among identical midpoints, the first-inserted row;
 * ``matrix``/``get_many``/``has_many`` resolve whole clip batches at once and
   gather rows from the columnar matrix in one fancy-indexing operation;
-* similarity search over the vector *contents* goes through a per-shard
-  ``repro.index`` vector index (``attach_index``/``search``) that, like the
-  sorted-midpoint index, is built lazily and kept in sync with writes —
-  appended rows are folded in incrementally on the next search, and restores
-  drop the index entirely.
+* similarity search over the vector *contents* (``search``) goes through a
+  per-shard ``repro.index`` vector index built from the caller's
+  ``IndexConfig``; like the sorted-midpoint index it is built lazily and kept
+  in sync with writes — appended rows are folded in incrementally on the
+  next search, and a different config or a restore drops the index.
 
 Snapshots (``repro.core.checkpoint``) stage each shard's columns straight
 into the snapshot bundle, and :meth:`FeatureStore.restore_columns` adopts
@@ -35,8 +35,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import telemetry
+from ..config import IndexConfig
 from ..exceptions import MissingFeatureError, StorageError
-from ..index import VectorIndex, build_index, canonical_backend
+from ..index import VectorIndex, make_index
 from ..types import ClipSpec, FeatureVector
 from .durability.codec import encode_array
 
@@ -99,10 +100,11 @@ class _ExtractorShard:
         #: lazily built (vids, midpoints, rows) arrays sorted by (vid, mid, row),
         #: shared by every nearest lookup; invalidated by writes
         self._gsort: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        #: lazily built vector index over the matrix rows; appended rows are
-        #: folded in incrementally on the next search, restores drop it
+        #: lazily built vector index over the matrix rows and the (config,
+        #: seed) it was built from; appended rows are folded in incrementally
+        #: on the next search, a different config or a restore drops it
         self._vindex: VectorIndex | None = None
-        self._vindex_spec: tuple[str, dict] = ("exact", {})
+        self._vindex_built_from: tuple[IndexConfig, int] | None = None
         self._vindex_rows = 0
 
     def __len__(self) -> int:
@@ -267,7 +269,6 @@ class _ExtractorShard:
             self._vid_rows.setdefault(vid, []).append(i)
         self._gsort = None
         self._vindex = None
-        self._vindex_rows = 0
         self.epoch += 1
 
     # ----------------------------------------------------------------- reads
@@ -345,47 +346,27 @@ class _ExtractorShard:
         pick = _batched_bisect_left(g_mids, g_mids[pick], lo, pick)
         return g_rows[pick]
 
-    def nearest(self, clip: ClipSpec) -> tuple[ClipSpec, np.ndarray]:
-        """Return the stored clip on the same video closest to ``clip``'s midpoint."""
-        row = int(self.nearest_rows(np.array([clip.vid]), np.array([clip.midpoint]))[0])
-        return self.clip_at(row), self._matrix[row].copy()
-
     # --------------------------------------------------------- vector search
-    def attach_index(self, backend: str, **params) -> None:
-        """Choose the vector-index backend for this shard's similarity search.
-
-        Idempotent when the spec is unchanged; a different spec drops the
-        built index so the next :meth:`search` rebuilds with the new backend.
-        """
-        spec = (backend, dict(params))
-        if spec == self._vindex_spec:
-            return
-        self._vindex_spec = spec
-        self._vindex = None
-        self._vindex_rows = 0
-
-    @property
-    def index_backend(self) -> str:
-        """Backend name the next :meth:`search` will use (default "exact")."""
-        return self._vindex_spec[0]
-
-    def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def search(
+        self, queries: np.ndarray, k: int, index: IndexConfig, seed: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Batched k-NN over the stored vectors; returns ``(sq_distances, rows)``.
 
-        The index is built lazily on first use and kept in sync with writes:
-        rows appended since the last search are folded in with the index's
-        incremental ``add`` (ANN backends may re-train themselves), and
-        :meth:`adopt_columns` drops the index entirely.
+        The index is built from ``index`` and ``seed`` on first use and kept
+        in sync with writes: rows appended since the last search are folded
+        in with the index's incremental ``add`` (ANN backends may re-train
+        themselves).  A search with a different config or seed, or one after
+        :meth:`adopt_columns`, builds a fresh index.
 
         Raises:
             MissingFeatureError: when the shard holds no vectors.
         """
         if self._n == 0:
             raise MissingFeatureError(f"no {self.fid} features stored to search")
-        if self._vindex is None:
-            backend, params = self._vindex_spec
-            self._vindex = build_index(backend, **params)
+        if self._vindex is None or self._vindex_built_from != (index, seed):
+            self._vindex = make_index(index, seed)
             self._vindex.build(self.matrix)
+            self._vindex_built_from = (index, seed)
             self._vindex_rows = self._n
         elif self._vindex_rows < self._n:
             self._vindex.add(self._matrix[self._vindex_rows : self._n])
@@ -398,12 +379,8 @@ class FeatureStore:
 
     def __init__(self) -> None:
         self._shards: dict[str, _ExtractorShard] = {}
-        #: index specs attached before the extractor has any shard; applied
-        #: when the shard is created so attach never fabricates extractors()
-        self._pending_index: dict[str, tuple[str, dict]] = {}
         #: Optional write-ahead sink (``repro.storage.durability``): fresh
-        #: rows and index attach/sync events are journaled, keyed by the
-        #: shard's post-write epoch.
+        #: rows are journaled, keyed by the shard's post-write epoch.
         self.journal_sink = None
 
     def _journal_rows(
@@ -430,9 +407,6 @@ class FeatureStore:
         shard = self._shards.get(fid)
         if shard is None:
             shard = self._shards[fid] = _ExtractorShard(fid)
-            spec = self._pending_index.pop(fid, None)
-            if spec is not None:
-                shard.attach_index(spec[0], **spec[1])
         return shard
 
     # ------------------------------------------------------------------ writes
@@ -562,19 +536,6 @@ class FeatureStore:
             )
         return shard.matrix[rows]
 
-    def get_nearest(self, fid: str, clip: ClipSpec) -> tuple[ClipSpec, np.ndarray]:
-        """Return the stored (clip, vector) on the same video closest in time."""
-        return self._shard(fid).nearest(clip)
-
-    def clips_for(self, fid: str, vid: int | None = None) -> list[ClipSpec]:
-        """Clips with stored vectors for ``fid`` (optionally restricted to one video)."""
-        shard = self._shards.get(fid)
-        if shard is None:
-            return []
-        if vid is None:
-            return shard.clips()
-        return shard.clips(shard.rows_for_vid(vid))
-
     def vids_with_features(self, fid: str) -> list[int]:
         """Distinct vids that have at least one stored vector for ``fid``."""
         shard = self._shards.get(fid)
@@ -681,77 +642,40 @@ class FeatureStore:
         return shard.vids, shard.starts, shard.ends, shard.matrix
 
     # ---------------------------------------------------------- vector search
-    def attach_index(self, fid: str, backend: str = "exact", **params) -> None:
-        """Choose the similarity-search backend for ``fid`` (see ``repro.index``).
-
-        May be called before any vector is stored: the spec is held aside and
-        applied when ``fid``'s shard is first written, so a configuration call
-        never fabricates an extractor in :meth:`extractors` or the snapshot.
-        Re-attaching the same spec is a no-op, so callers can attach
-        unconditionally.
-
-        Raises:
-            VectorIndexError: when ``backend`` names no registered backend
-                (also when a journal replay attaches a deleted one).
-        """
-        canonical_backend(backend)
-        shard = self._shards.get(fid)
-        if shard is not None:
-            changed = shard._vindex_spec != (backend, dict(params))
-            shard.attach_index(backend, **params)
-        else:
-            changed = self._pending_index.get(fid) != (backend, dict(params))
-            self._pending_index[fid] = (backend, dict(params))
-        if changed and self.journal_sink is not None:
-            self.journal_sink(
-                {"type": "index_attach", "fid": fid, "backend": backend, "params": dict(params)}
-            )
-
-    def index_backend(self, fid: str) -> str:
-        """Backend name ``fid``'s next search will use ("exact" by default)."""
-        shard = self._shards.get(fid)
-        if shard is not None:
-            return shard.index_backend
-        pending = self._pending_index.get(fid)
-        return pending[0] if pending is not None else "exact"
-
-    def search(self, fid: str, queries: np.ndarray, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    def search(
+        self,
+        fid: str,
+        queries: np.ndarray,
+        k: int = 10,
+        index: IndexConfig = IndexConfig(),
+        seed: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """k-NN over ``fid``'s stored vectors: ``(squared_distances, rows)``.
 
         ``queries`` is one ``(d,)`` vector or a ``(q, d)`` batch; both returned
         arrays have shape ``(q, k)``, with rows short of ``k`` neighbours
         padded by ``inf``/``-1``.  Row indices convert to clips via
-        :meth:`clips_at`.
+        :meth:`clips_at`.  ``index`` and ``seed`` choose the backend; the
+        shard keeps the index it built until either changes.
 
         Raises:
             MissingFeatureError: when the extractor is unknown or empty.
         """
         shard = self._shard(fid)
-        rows_before = shard._vindex_rows
         with telemetry.span(
             "search",
             "index",
             metric="index.search_seconds",
             fid=fid,
-            backend=shard.index_backend,
+            backend=index.backend,
             k=k,
         ) as span:
-            result = shard.search(queries, k)
+            result = shard.search(queries, k, index, seed)
             candidates = int((result[1] >= 0).sum())
             span.set_attribute("candidates", candidates)
             telemetry.histogram(
                 "index.search_candidates", buckets=telemetry.COUNT_BUCKETS
             ).observe(candidates)
-        if self.journal_sink is not None and shard._vindex_rows != rows_before:
-            # Write-sync event: the lazily built index folded appended rows in.
-            self.journal_sink(
-                {
-                    "type": "index_sync",
-                    "fid": fid,
-                    "backend": shard.index_backend,
-                    "rows": shard._vindex_rows,
-                }
-            )
         return result
 
     def clips_at(self, fid: str, rows: Iterable[int]) -> list[ClipSpec | None]:
@@ -771,23 +695,15 @@ class FeatureStore:
         shards: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None],
         dims: dict[str, int],
         epochs: dict[str, int] | None = None,
-        index_specs: dict[str, tuple[str, dict]] | None = None,
     ) -> None:
         """Replace this store's contents in place from recovered columns.
 
         ``shards`` maps each extractor to its ``(vids, starts, ends,
         vectors)`` columns, or None for an empty shard; ``dims`` carries the
-        dimensionality of empty shards.  ``index_specs`` maps extractors to
-        their ``(backend, params)``; a spec whose extractor has no shard is
-        held aside until the shard is created.  Used by snapshot recovery,
-        which bundles every shard's columns into one archive.
-
-        Raises:
-            VectorIndexError: when an index spec names no registered
-                backend; raised before any state is replaced.
+        dimensionality of empty shards.  Used by snapshot recovery, which
+        bundles every shard's columns into one archive.  Vector indexes are
+        rebuilt on the next search.
         """
-        for backend, __ in (index_specs or {}).values():
-            canonical_backend(backend)
         self._shards = {}
         for fid, columns in shards.items():
             dim = dims.get(fid)
@@ -795,14 +711,6 @@ class FeatureStore:
             self._shards[fid] = shard
             if columns is not None:
                 shard.adopt_columns(*columns)
-        self._pending_index = {}
-        if index_specs:
-            for fid, (backend, params) in index_specs.items():
-                shard = self._shards.get(fid)
-                if shard is not None:
-                    shard.attach_index(backend, **params)
-                else:
-                    self._pending_index[fid] = (backend, dict(params))
         if epochs:
             for fid, epoch in epochs.items():
                 self.restore_epoch(fid, epoch)

@@ -333,14 +333,6 @@ class VideoCorpus:
         return [frames[row] for row in range(len(clips))]
 
     # ------------------------------------------------------------------- stats
-    def class_coverage(self) -> dict[str, float]:
-        """Total seconds of each activity class across the corpus."""
-        coverage = {name: 0.0 for name in self.class_names}
-        for video in self.videos():
-            for name in self.class_names:
-                coverage[name] += video.track.coverage(name)
-        return coverage
-
     def class_video_counts(self) -> dict[str, int]:
         """Number of videos in which each class appears."""
         counts = {name: 0 for name in self.class_names}

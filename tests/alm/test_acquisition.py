@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import IndexConfig
 from repro.exceptions import ALMError, AcquisitionError
 from repro.alm.acquisition import (
     AcquisitionContext,
@@ -81,11 +82,13 @@ class TestKMeans:
                 distances[::2], indices[::2] = np.inf, -1
                 return distances, indices
 
-        monkeypatch.setattr(clustering, "build_index", lambda backend, **params: MissEveryOther())
+        monkeypatch.setattr(clustering, "make_index", lambda config, seed=0: MissEveryOther())
         rng = np.random.default_rng(3)
         points = rng.standard_normal((50, 8))
         for k in (1, 2, 5):
-            ann = kmeans(points, k, rng=np.random.default_rng(0), index_backend="ivf-flat")
+            ann = kmeans(
+                points, k, rng=np.random.default_rng(0), index=IndexConfig(backend="ivf-flat")
+            )
             exact = kmeans(points, k, rng=np.random.default_rng(0))
             assert np.array_equal(ann.assignments, exact.assignments)
             assert ann.inertia == pytest.approx(exact.inertia)
@@ -187,7 +190,7 @@ class TestCoresetAcquisition:
         context = make_context(num_candidates=60, dim=8, seed=21)
         context.labeled_features = np.random.default_rng(5).standard_normal((30, 8))
         clips = CoresetAcquisition(
-            index_backend="ivf-flat", index_params={"nprobe": 2}, seed=0
+            index=IndexConfig(backend="ivf-flat", nprobe=2), seed=0
         ).select(context, 5, rng)
         assert len(clips) == 5
 

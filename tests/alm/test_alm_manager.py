@@ -160,11 +160,6 @@ class TestSelection:
         assert result.skew is not None
         assert result.feature_name == alm.current_feature()
 
-    def test_label_diversity_passthrough(self, skewed_corpus):
-        storage, __, __, alm = build_alm(skewed_corpus)
-        label_videos(storage, skewed_corpus, 30)
-        assert alm.label_diversity() == storage.labels.diversity_smax()
-
 
 class TestEvaluateFeaturesErrorHandling:
     def test_insufficient_labels_scores_zero(self, small_corpus):

@@ -147,11 +147,12 @@ class TestRisingBandit:
 
     def test_elimination_steps_recorded(self):
         bandit = RisingBanditSelector(["good", "bad"], config(horizon=8, warmup=2))
+        steps = {}
         for __ in range(10):
-            bandit.update({"good": 0.9, "bad": 0.01})
-        steps = bandit.elimination_steps()
-        assert steps["good"] is None
-        assert steps["bad"] is not None and steps["bad"] > 2
+            for name in bandit.update({"good": 0.9, "bad": 0.01}):
+                steps[name] = bandit.step
+        assert bandit.active_arms() == ["good"]
+        assert set(steps) == {"bad"} and steps["bad"] > 2
 
     def test_larger_horizon_eliminates_more_slowly(self):
         def convergence_step(horizon):

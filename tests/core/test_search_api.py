@@ -8,6 +8,7 @@ from repro.config import IndexConfig, VocalExploreConfig
 from repro.core.api import VOCALExplore
 from repro.core.session import SearchHit
 from repro.exceptions import ReproError
+from repro.index import IVFFlatIndex
 from repro.scheduler.tasks import TaskKind
 from repro.types import ClipSpec
 
@@ -117,7 +118,9 @@ class TestSessionSearch:
         hits = vocal.search((0, 0.0, 1.0), k=5)
         assert len(hits) == 5
         feature = vocal.current_feature()
-        assert vocal.session.storage.features.index_backend(feature) == "ivf-flat"
+        built = vocal.session.storage.features._shards[feature]._vindex
+        assert type(built) is IVFFlatIndex
+        assert (built.nprobe, built.seed) == (4, 1)
 
     def test_exact_and_ann_agree_on_top_hit(self, tiny_dataset):
         results = {}

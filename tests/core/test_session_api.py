@@ -119,6 +119,11 @@ class TestIterationSummaries:
         assert all(summary.visible_latency >= 0.0 for summary in summaries)
         assert summaries[0].candidate_features
 
+    def test_summary_smax_is_label_diversity(self, vocal_tiny, oracle_tiny):
+        run_iterations(vocal_tiny, oracle_tiny, steps=2, batch_size=4)
+        labels = vocal_tiny.session.storage.labels
+        assert vocal_tiny.summaries()[-1].smax == labels.diversity_smax()
+
     def test_cumulative_latency_is_monotonic(self, vocal_tiny, oracle_tiny):
         latencies = []
         for __ in range(3):

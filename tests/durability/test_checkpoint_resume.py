@@ -14,12 +14,18 @@ Three properties from the issue:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.exceptions import CheckpointError, VectorIndexError
+from repro.exceptions import CheckpointError
 from repro.experiments.runner import RunnerConfig, SessionRunner
+from repro.index import ExactIndex
+from repro.serving import session_fingerprint as state_digest
 from repro.storage.durability import replay_records
+from repro.storage.durability.journal import read_journal
+from repro.storage.storage_manager import StorageManager
 
 from harness import micro_dataset
 
@@ -210,21 +216,141 @@ class TestSnapshotPlusTail:
         first.close()
 
 
-class TestDeletedIndexBackend:
-    @pytest.mark.parametrize("fid", ["r3d", "clip"])  # a stored shard, a pending spec
-    def test_snapshot_naming_lsh_is_rejected_on_resume(self, dataset, tmp_path, monkeypatch, fid):
-        from repro.index import ExactIndex, base
+#: Record types a checkpointed session journals; the index backend is
+#: configuration, so no index record is ever written.
+STORE_RECORD_TYPES = {"label", "video", "features", "model", "iteration"}
 
-        # Write the snapshot as a build that still had the backend would.
-        monkeypatch.setitem(base._BACKENDS, "lsh", ExactIndex)
-        live = SessionRunner(dataset, run_config(tmp_path / "ckpt", num_steps=2))
-        live.run()
-        live.vocal.session.storage.features.attach_index(fid, "lsh")
-        live.vocal.checkpoint()
-        live.close()
-        monkeypatch.delitem(base._BACKENDS, "lsh")
-        with pytest.raises(VectorIndexError, match="lsh"):
-            SessionRunner(dataset, run_config(tmp_path / "ckpt", resume=True))
+#: Journal records of index choices as older versions wrote them.
+OLD_INDEX_RECORDS = [
+    {"type": "index_attach", "fid": "r3d", "backend": "lsh", "params": {}},
+    {"type": "index_attach", "fid": "clip", "backend": "ivf-flat", "params": {"nprobe": 2}},
+    {"type": "index_sync", "fid": "r3d", "backend": "lsh", "rows": 12},
+]
+
+
+def write_like_older_versions(monkeypatch):
+    """Make a run write the index records and snapshot keys older versions did."""
+    from repro.core import checkpoint
+    from repro.storage.feature_store import FeatureStore
+
+    capture = checkpoint._capture_features_meta
+
+    def capture_with_specs(session):
+        meta = capture(session)
+        meta["index_specs"] = {"r3d": ["lsh", {}]}
+        meta["pending_index"] = {"clip": ["ivf-flat", {"nprobe": 2}]}
+        return meta
+
+    add_batch = FeatureStore.add_batch
+
+    def add_batch_with_index_records(self, fid, *columns):
+        fresh = add_batch(self, fid, *columns)
+        if fresh and self.journal_sink is not None:
+            for record in OLD_INDEX_RECORDS:
+                self.journal_sink(dict(record))
+        return fresh
+
+    monkeypatch.setattr(checkpoint, "_capture_features_meta", capture_with_specs)
+    monkeypatch.setattr(FeatureStore, "add_batch", add_batch_with_index_records)
+
+
+class TestIndexChoiceIsConfiguration:
+    def test_searching_session_journals_only_store_records(self, dataset, tmp_path):
+        # No automatic checkpoints: every record stays in generation 0's
+        # journal, so the whole committed stream can be read back.
+        runner = SessionRunner(dataset, run_config(tmp_path / "ckpt", checkpoint_every=0))
+        for step in range(1, 7):
+            runner.run(num_steps=step)
+            assert len(runner.vocal.search((0, 0.0, 1.0), k=3)) == 3
+        durability = runner.vocal.session.durability
+        durability.commit()
+        records = read_journal(tmp_path / "ckpt" / "journal-00000000.log").records
+        seen = {record["type"] for record in records}
+        assert seen <= STORE_RECORD_TYPES
+        assert {"label", "features", "model", "iteration"} <= seen
+
+        generation = runner.vocal.checkpoint()
+        state = json.loads((durability.snapshot_path(generation) / "state.json").read_text())
+        assert set(state["features"]) == {"epochs", "shards"}
+        runner.close()
+
+    @pytest.mark.parametrize("fid", ["r3d", "clip"])  # a stored shard, a pending spec
+    def test_snapshot_naming_lsh_resumes_with_configured_backend(
+        self, dataset, tmp_path, monkeypatch, fid
+    ):
+        from repro.core import checkpoint
+
+        capture = checkpoint._capture_features_meta
+
+        def capture_with_lsh(session):
+            # Older versions kept a spec for a stored shard under
+            # "index_specs" and for an extractor with no shard yet under
+            # "pending_index".
+            meta = capture(session)
+            stored = fid in session.storage.features.extractors()
+            meta["index_specs"] = {fid: ["lsh", {}]} if stored else {}
+            meta["pending_index"] = {} if stored else {fid: ["lsh", {}]}
+            return meta
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "_capture_features_meta", capture_with_lsh)
+            live = SessionRunner(dataset, run_config(tmp_path / "ckpt", num_steps=2))
+            live.run()
+            live.vocal.checkpoint()
+            live.close()
+
+        resumed = SessionRunner(dataset, run_config(tmp_path / "ckpt", resume=True))
+        hits = resumed.vocal.search((0, 0.0, 1.0), k=3, feature_name=fid)
+        assert len(hits) == 3
+        session = resumed.vocal.session
+        shard = session.storage.features._shards[fid]
+        assert type(shard._vindex) is ExactIndex
+        assert shard._vindex_built_from == (session.config.index, session.config.seed)
+        resumed.close()
+
+    def test_old_index_records_replay_as_skipped(self):
+        storage = StorageManager()
+        stats = replay_records(storage, OLD_INDEX_RECORDS)
+        assert stats.skipped == len(OLD_INDEX_RECORDS)
+        assert stats.feature_rows_applied == stats.labels_applied == 0
+        assert storage.features.extractors() == []
+
+    def test_old_snapshot_and_journal_resume_bit_identically(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        baseline = SessionRunner(dataset, run_config())
+        baseline.run()
+        expected = session_fingerprint(baseline.vocal.session)
+        expected_state = state_digest(baseline.vocal)
+        baseline.close()
+
+        with monkeypatch.context() as patch:
+            write_like_older_versions(patch)
+            interrupted = SessionRunner(dataset, run_config(tmp_path / "ckpt"))
+            interrupted.run(num_steps=5)  # dies after step 5; last checkpoint at 4
+        state = json.loads(
+            (tmp_path / "ckpt" / "snapshot-00000002" / "state.json").read_text()
+        )
+        assert state["features"]["index_specs"] == {"r3d": ["lsh", {}]}
+
+        resumed = SessionRunner(dataset, run_config(tmp_path / "ckpt", resume=True))
+        tail = resumed.recovery.tail_records
+        old = [r for r in tail if r["type"] in ("index_attach", "index_sync")]
+        assert old, "the journal tail must carry the old index records"
+        assert replay_records(StorageManager(), tail).skipped == len(old)
+        resumed.run()
+        assert_fingerprints_equal(expected, session_fingerprint(resumed.vocal.session))
+        assert state_digest(resumed.vocal) == expected_state
+
+        # The next search builds the index the session's config names.
+        session = resumed.vocal.session
+        feature = session.alm.current_feature()
+        resumed.vocal.search((0, 0.0, 1.0), k=3, feature_name=feature)
+        shard = session.storage.features._shards[feature]
+        assert type(shard._vindex) is ExactIndex
+        assert shard._vindex_built_from == (session.config.index, session.config.seed)
+        resumed.close()
+        interrupted.close()
 
 
 class TestReplayIdempotence:

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.exceptions import UnknownExtractorError
 from repro.features.feature_manager import FeatureManager
 from repro.features.pipeline import FeatureExtractionPipeline
 from repro.features.pretrained import build_default_registry
@@ -223,14 +225,15 @@ class TestAccess:
     def test_candidate_pool_returns_all_vectors(self, setup):
         __, __, __, manager = setup
         manager.ensure_video_features("r3d", [0, 1, 2])
-        clips, matrix = manager.candidate_pool("r3d")
-        assert len(clips) == matrix.shape[0]
-        assert matrix.shape[0] > 0
+        vids, __, __, matrix = manager.candidate_pool_columns("r3d")
+        assert len(vids) == matrix.shape[0] == manager.store.count("r3d")
+        assert set(vids.tolist()) == {0, 1, 2}
 
     def test_get_many_matches_per_clip_get(self, setup):
         __, __, __, manager = setup
         manager.ensure_video_features("r3d", [0, 1])
-        clips = manager.store.clips_for("r3d", 0) + manager.store.clips_for("r3d", 1)
+        clips, __ = manager.store.all_vectors("r3d")
+        assert {clip.vid for clip in clips} == {0, 1}
         batched = manager.get_many("r3d", clips)
         assert batched.shape == (len(clips), 512)
         for row, clip in zip(batched, clips):
@@ -240,14 +243,15 @@ class TestAccess:
         __, __, __, manager = setup
         stored = ClipSpec(0, 0.0, 1.0)
         manager.ensure_clip_features("r3d", [stored])
-        window = manager.store.clips_for("r3d", 0)[0]
+        window = manager.store.all_vectors("r3d")[0][0]
+        assert window.vid == 0
         mask = manager.has_many("r3d", [window, ClipSpec(5, 0.0, 1.0)])
         assert mask.tolist() == [True, False]
 
     def test_candidate_pool_columns_align_with_pool(self, setup):
         __, __, __, manager = setup
         manager.ensure_video_features("r3d", [0, 1])
-        clips, matrix = manager.candidate_pool("r3d")
+        clips, matrix = manager.store.all_vectors("r3d")
         vids, starts, ends, vectors = manager.candidate_pool_columns("r3d")
         assert list(vids) == [c.vid for c in clips]
         assert list(starts) == [c.start for c in clips]
@@ -261,11 +265,24 @@ class TestAccess:
         assert vectors.shape == (0, 0)
 
     def test_extractor_names(self, setup):
+        __, __, registry, manager = setup
+        assert "r3d" in manager.registry.names()
+        assert manager.registry.names() == registry.names()
+
+    def test_extractor_lookup(self, setup):
         __, __, __, manager = setup
-        assert "r3d" in manager.extractor_names()
         assert manager.extractor("r3d").name == "r3d"
+        with pytest.raises(UnknownExtractorError):
+            manager.extractor("no_such_extractor")
 
     def test_pipeline_stats_exposed(self, setup):
+        # Pipeline activity is published through the run's telemetry counters.
         __, __, __, manager = setup
-        manager.ensure_video_features("r3d", [0])
-        assert manager.pipeline_stats.pipelines_created >= 1
+        run = telemetry.start_run()
+        try:
+            manager.ensure_video_features("r3d", [0])
+            counters = run.metrics.snapshot()["counters"]
+        finally:
+            run.close()
+        assert counters["features.pipelines_created"] >= 1
+        assert counters["features.clips_processed"] >= 1

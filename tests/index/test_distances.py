@@ -41,13 +41,14 @@ class TestPairwiseSqDistances:
     def test_single_shared_kernel(self):
         # Every index backend and the ALM's k-means import this exact kernel,
         # and coreset/k-means obtain ANN backends via the index factory
-        # (satellite: one distance implementation for the whole system).
+        # (one distance implementation for the whole system).
+        import repro.index
         from repro.alm import clustering
         from repro.alm.acquisition import coreset
-        from repro.index import base, distances
+        from repro.index import distances
         from repro.index import exact, ivf_flat
 
         for module in (clustering, exact, ivf_flat):
             assert module.pairwise_sq_distances is distances.pairwise_sq_distances
-        assert clustering.build_index is base.build_index
-        assert coreset.build_index is base.build_index
+        assert clustering.make_index is repro.index.make_index
+        assert coreset.make_index is repro.index.make_index

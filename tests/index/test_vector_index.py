@@ -11,13 +11,9 @@ The contract under test (see repro.index.base):
 import numpy as np
 import pytest
 
+from repro.config import IndexConfig
 from repro.exceptions import VectorIndexError
-from repro.index import (
-    ExactIndex,
-    IVFFlatIndex,
-    build_index,
-    index_backends,
-)
+from repro.index import ExactIndex, IVFFlatIndex, make_index
 
 DIM = 16
 
@@ -43,16 +39,24 @@ def recall(found, truth):
 
 
 class TestFactory:
-    def test_backends_registered(self):
-        assert index_backends() == ["exact", "ivf-flat"]
+    def test_make_index_builds_the_configured_backend(self):
+        exact = make_index(IndexConfig(), seed=5)
+        assert type(exact) is ExactIndex and exact.seed == 5
+        ivf = make_index(
+            IndexConfig(backend="ivf-flat", nlist=4, nprobe=2, retrain_factor=0.25), seed=3
+        )
+        assert type(ivf) is IVFFlatIndex
+        assert (ivf.nlist, ivf.nprobe, ivf.retrain_factor, ivf.seed) == (4, 2, 0.25, 3)
+        assert make_index(IndexConfig(backend="ivf-flat")).seed == 0
 
-    def test_aliases(self):
-        assert isinstance(build_index("ivf"), IVFFlatIndex)
-        assert isinstance(build_index("flat"), ExactIndex)
+    def test_aliases_rejected_by_config(self):
+        for alias in ("ivf", "flat", "ivf_flat"):
+            with pytest.raises(ValueError):
+                IndexConfig(backend=alias)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(VectorIndexError):
-            build_index("faiss-gpu")
+        with pytest.raises(ValueError):
+            IndexConfig(backend="faiss-gpu")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(VectorIndexError):

@@ -144,9 +144,10 @@ class TestBackgroundWindow:
         scheduler = make_scheduler()
         assert not scheduler.has_pending()
         scheduler.submit(Task(TaskKind.MODEL_TRAINING, 1.0))
-        assert scheduler.pending_count() == 1
         assert scheduler.has_pending(TaskKind.MODEL_TRAINING)
         assert not scheduler.has_pending(TaskKind.FEATURE_EVALUATION)
+        assert len(scheduler.drain()) == 1
+        assert not scheduler.has_pending()
 
 
 class TestDrain:

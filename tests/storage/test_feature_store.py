@@ -66,24 +66,30 @@ class TestFeatureStoreReads:
         store = FeatureStore()
         store.add(feature(vid=0, start=0.0, end=1.0, value=1.0))
         store.add(feature(vid=0, start=5.0, end=6.0, value=2.0))
-        clip, vector = store.get_nearest("r3d", ClipSpec(0, 4.4, 4.6))
-        assert clip == ClipSpec(0, 5.0, 6.0)
-        np.testing.assert_allclose(vector, np.full(8, 2.0))
+        query = ClipSpec(0, 4.4, 4.6)
+        assert store.resolve_clips("r3d", [query]) == [ClipSpec(0, 5.0, 6.0)]
+        np.testing.assert_allclose(store.matrix("r3d", [query])[0], np.full(8, 2.0))
 
     def test_nearest_requires_same_video(self):
         store = FeatureStore()
         store.add(feature(vid=0))
         with pytest.raises(MissingFeatureError):
-            store.get_nearest("r3d", ClipSpec(1, 0.0, 1.0))
+            store.matrix("r3d", [ClipSpec(1, 0.0, 1.0)])
 
     def test_clips_for_video_filter(self):
         store = FeatureStore()
         store.add(feature(vid=0, start=0.0, end=1.0))
         store.add(feature(vid=0, start=1.0, end=2.0))
         store.add(feature(vid=1, start=0.0, end=1.0))
-        assert len(store.clips_for("r3d")) == 3
-        assert len(store.clips_for("r3d", vid=0)) == 2
-        assert store.clips_for("clip") == []
+        clips, __ = store.all_vectors("r3d")
+        assert len(clips) == 3
+        assert [clip for clip in clips if clip.vid == 0] == [
+            ClipSpec(0, 0.0, 1.0),
+            ClipSpec(0, 1.0, 2.0),
+        ]
+        assert store.has_any_for_video("r3d", 1)
+        assert not store.has_any_for_video("r3d", 2)
+        assert store.all_vectors("clip")[0] == []
 
     def test_vids_with_features(self):
         store = FeatureStore()
@@ -180,7 +186,7 @@ class TestRestoreColumns:
         for vid in (3, 1, 2):
             store.add(feature(vid=vid, value=float(vid)))
         loaded = restored_copy(store)
-        assert loaded.clips_for("r3d") == store.clips_for("r3d")
+        assert loaded.all_vectors("r3d")[0] == store.all_vectors("r3d")[0]
         vids, __, __, vectors = loaded.columns("r3d")
         np.testing.assert_array_equal(vids, [3, 1, 2])
         np.testing.assert_allclose(vectors[:, 0], [3.0, 1.0, 2.0])

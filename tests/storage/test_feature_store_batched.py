@@ -2,8 +2,8 @@
 
 The batched APIs (``get_many``, ``has_many``, ``matrix``, ``covering_mask``,
 ``add_batch``) must agree exactly with the per-clip reference semantics
-(``get``, ``has``, ``get_nearest``) on randomized clip sets, including
-nearest-fallback ties and missing-video error cases.
+(``get``, ``has``, and a linear-scan nearest-window reference) on randomized
+clip sets, including nearest-fallback ties and missing-video error cases.
 """
 
 import numpy as np
@@ -30,6 +30,21 @@ def build_random_store(rng, num_videos=8, windows_per_video=10):
             clips.append(clip)
             vectors.append(vector)
     return store, clips, np.vstack(vectors)
+
+
+def reference_nearest(store, fid, clip):
+    """Linear-scan nearest stored window on ``clip``'s video.
+
+    The closest midpoint wins; a target equidistant from two midpoints takes
+    the earlier one, and identical midpoints take the first-inserted row.
+    """
+    stored, vectors = store.all_vectors(fid)
+    target = (clip.start + clip.end) * 0.5
+    rows = [row for row, c in enumerate(stored) if c.vid == clip.vid]
+    if not rows:
+        raise MissingFeatureError(f"no {fid} features extracted for video {clip.vid}")
+    row = min(rows, key=lambda r: (abs(stored[r].midpoint - target), stored[r].midpoint, r))
+    return stored[row], vectors[row]
 
 
 def random_queries(rng, stored_clips, count, miss_fraction=0.5):
@@ -59,7 +74,7 @@ class TestBatchedAgreesWithPerClip:
             if store.has("f", clip):
                 expected = store.get("f", clip)
             else:
-                __, expected = store.get_nearest("f", clip)
+                __, expected = reference_nearest(store, "f", clip)
             np.testing.assert_array_equal(batched[i], expected)
 
     def test_get_many_matches_get(self, seed):
@@ -91,7 +106,7 @@ class TestBatchedAgreesWithPerClip:
             elif not store.has_any_for_video("f", clip.vid):
                 assert not covered
             else:
-                nearest_clip, __ = store.get_nearest("f", clip)
+                nearest_clip, __ = reference_nearest(store, "f", clip)
                 assert covered == (nearest_clip.start <= clip.midpoint <= nearest_clip.end)
 
     def test_add_batch_matches_add_many(self, seed):
@@ -112,8 +127,8 @@ class TestBatchedAgreesWithPerClip:
 
         assert added_batch == added_single
         assert batched.count("f") == one_by_one.count("f")
-        assert batched.clips_for("f") == one_by_one.clips_for("f")
-        for clip in batched.clips_for("f"):
+        assert batched.all_vectors("f")[0] == one_by_one.all_vectors("f")[0]
+        for clip in batched.all_vectors("f")[0]:
             np.testing.assert_array_equal(batched.get("f", clip), one_by_one.get("f", clip))
 
 
@@ -124,18 +139,16 @@ class TestNearestTies:
         store.add(FeatureVector(fid="f", vid=0, start=2.0, end=3.0, vector=np.full(DIM, 2.0)))
         # Midpoint 1.5 is exactly between the stored midpoints 0.5 and 2.5.
         tie = ClipSpec(0, 1.25, 1.75)
-        clip, vector = store.get_nearest("f", tie)
-        assert clip == ClipSpec(0, 0.0, 1.0)
-        np.testing.assert_array_equal(vector, np.full(DIM, 1.0))
+        assert store.resolve_clips("f", [tie]) == [ClipSpec(0, 0.0, 1.0)]
         np.testing.assert_array_equal(store.matrix("f", [tie])[0], np.full(DIM, 1.0))
 
     def test_identical_midpoints_resolve_to_first_inserted(self):
         store = FeatureStore()
         store.add(FeatureVector(fid="f", vid=0, start=1.0, end=3.0, vector=np.full(DIM, 1.0)))
         store.add(FeatureVector(fid="f", vid=0, start=0.0, end=4.0, vector=np.full(DIM, 2.0)))
-        clip, vector = store.get_nearest("f", ClipSpec(0, 1.9, 2.1))
-        assert clip == ClipSpec(0, 1.0, 3.0)
-        np.testing.assert_array_equal(vector, np.full(DIM, 1.0))
+        query = ClipSpec(0, 1.9, 2.1)
+        assert store.resolve_clips("f", [query]) == [ClipSpec(0, 1.0, 3.0)]
+        np.testing.assert_array_equal(store.matrix("f", [query])[0], np.full(DIM, 1.0))
 
     def test_identical_midpoints_below_target_resolve_to_first_inserted(self):
         """Regression: a query above a run of equal midpoints must still pick
@@ -143,10 +156,8 @@ class TestNearestTies:
         store = FeatureStore()
         store.add(FeatureVector(fid="f", vid=0, start=3.0, end=4.0, vector=np.full(DIM, 1.0)))
         store.add(FeatureVector(fid="f", vid=0, start=2.5, end=4.5, vector=np.full(DIM, 2.0)))
-        clip, vector = store.get_nearest("f", ClipSpec(0, 4.1, 4.3))
-        assert clip == ClipSpec(0, 3.0, 4.0)
-        np.testing.assert_array_equal(vector, np.full(DIM, 1.0))
         query = ClipSpec(0, 4.1, 4.3)
+        assert store.resolve_clips("f", [query]) == [ClipSpec(0, 3.0, 4.0)]
         np.testing.assert_array_equal(store.matrix("f", [query])[0], np.full(DIM, 1.0))
 
     def test_batched_ties_agree_with_single_lookups(self):
@@ -161,7 +172,7 @@ class TestNearestTies:
         queries = [ClipSpec(0, 1.25, 1.75), ClipSpec(0, 3.25, 3.75), ClipSpec(0, 5.25, 5.75)]
         batched = store.matrix("f", queries)
         for i, q in enumerate(queries):
-            __, expected = store.get_nearest("f", q)
+            __, expected = reference_nearest(store, "f", q)
             np.testing.assert_array_equal(batched[i], expected)
 
 

@@ -1,13 +1,15 @@
-"""Tests for FeatureStore vector search: attach_index, search, invalidation."""
+"""Tests for FeatureStore vector search: backend choice, search, invalidation."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import MissingFeatureError, VectorIndexError
-from repro.storage.durability import replay_records
+from repro.config import IndexConfig
+from repro.exceptions import MissingFeatureError
+from repro.index import ExactIndex, IVFFlatIndex, make_index
 from repro.storage.feature_store import FeatureStore
-from repro.storage.storage_manager import StorageManager
 from repro.types import ClipSpec
+
+IVF = IndexConfig(backend="ivf-flat")
 
 
 def filled_store(n=60, dim=8, seed=0, fid="r3d"):
@@ -23,9 +25,9 @@ def filled_store(n=60, dim=8, seed=0, fid="r3d"):
 
 class TestSearch:
     def test_default_backend_is_exact(self):
-        store, __ = filled_store()
-        assert store.index_backend("r3d") == "exact"
-        assert store.index_backend("unknown") == "exact"
+        store, vectors = filled_store()
+        store.search("r3d", vectors[0], k=1)
+        assert type(store._shards["r3d"]._vindex) is ExactIndex
 
     def test_search_returns_nearest_rows(self):
         store, vectors = filled_store()
@@ -51,57 +53,64 @@ class TestSearch:
         assert clips[2:] == [None, None, None]
 
     def test_unknown_extractor_raises(self):
-        store = FeatureStore()
+        store, __ = filled_store()
         with pytest.raises(MissingFeatureError):
-            store.search("nope", np.zeros(4), k=1)
+            store.search("nope", np.zeros(4), k=1, index=IVF)
+        assert store.extractors() == ["r3d"]
 
     def test_empty_shard_raises(self):
         store = FeatureStore()
-        store.attach_index("r3d", "exact")
+        store.restore_columns({"r3d": None}, {"r3d": 4})
         with pytest.raises(MissingFeatureError):
             store.search("r3d", np.zeros(4), k=1)
 
 
-class TestAttachIndex:
+class TestIndexConfig:
     def test_backend_switch_takes_effect(self):
         store, vectors = filled_store(n=200)
-        store.attach_index("r3d", "ivf-flat", seed=0)
-        assert store.index_backend("r3d") == "ivf-flat"
-        distances, rows = store.search("r3d", vectors[3], k=1)
+        distances, rows = store.search("r3d", vectors[3], k=1, index=IVF)
+        assert type(store._shards["r3d"]._vindex) is IVFFlatIndex
         assert rows[0, 0] == 3  # its own cell is always probed
 
-    def test_attach_before_any_vector(self):
-        store = FeatureStore()
-        store.attach_index("r3d", "ivf-flat", seed=0)
-        assert store.index_backend("r3d") == "ivf-flat"
-        store.add_batch(
-            "r3d", np.arange(10), np.zeros(10), np.ones(10),
-            np.random.default_rng(0).standard_normal((10, 4)),
-        )
-        __, rows = store.search("r3d", store.columns("r3d")[3][4], k=1)
-        assert rows[0, 0] == 4
+    def test_config_fields_and_seed_reach_the_index(self):
+        store, vectors = filled_store(n=200)
+        config = IndexConfig(backend="ivf-flat", nlist=5, nprobe=2, retrain_factor=0.25)
+        store.search("r3d", vectors[0], k=1, index=config, seed=7)
+        built = store._shards["r3d"]._vindex
+        assert (built.nlist, built.nprobe, built.retrain_factor, built.seed) == (5, 2, 0.25, 7)
 
-    def test_attach_does_not_fabricate_extractor(self):
-        # A config probe with an unknown fid must not create a phantom shard
-        # that would leak into extractors() and the snapshot.
-        store, __ = filled_store()
-        store.attach_index("typo_extractor", "ivf-flat")
-        assert store.extractors() == ["r3d"]
-
-    def test_reattach_same_spec_keeps_built_index(self):
+    def test_same_config_keeps_built_index(self):
         store, vectors = filled_store()
-        store.search("r3d", vectors[0], k=1)  # builds lazily
+        store.search("r3d", vectors[0], k=1, index=IndexConfig(backend="ivf-flat"), seed=3)
         shard = store._shards["r3d"]
         built = shard._vindex
-        store.attach_index("r3d", "exact")
+        # An equal config (not the same object) and seed reuse the index.
+        store.search("r3d", vectors[1], k=1, index=IndexConfig(backend="ivf-flat"), seed=3)
         assert shard._vindex is built
 
-    def test_attach_different_spec_drops_built_index(self):
+    def test_different_config_or_seed_rebuilds_index(self):
         store, vectors = filled_store()
         store.search("r3d", vectors[0], k=1)
         shard = store._shards["r3d"]
-        store.attach_index("r3d", "ivf-flat", seed=1)
-        assert shard._vindex is None
+        exact = shard._vindex
+        store.search("r3d", vectors[0], k=1, index=IVF, seed=1)
+        ivf = shard._vindex
+        assert type(ivf) is IVFFlatIndex and ivf is not exact
+        store.search("r3d", vectors[0], k=1, index=IVF, seed=2)
+        assert shard._vindex is not ivf and shard._vindex.seed == 2
+        store.search("r3d", vectors[0], k=1)
+        assert type(shard._vindex) is ExactIndex
+
+    def test_search_matches_a_fresh_index_of_the_config(self):
+        # The store adds nothing to the index: hits equal a fresh index of
+        # the same config and seed built over the stored matrix.
+        for config in (IndexConfig(), IndexConfig(backend="ivf-flat", nprobe=2)):
+            store, vectors = filled_store(n=150, seed=4)
+            fresh = make_index(config, seed=9)
+            fresh.build(vectors)
+            got = store.search("r3d", vectors[:20], k=6, index=config, seed=9)
+            want = fresh.search(vectors[:20], 6)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestWriteInvalidation:
@@ -132,8 +141,9 @@ class TestWriteInvalidation:
             runs = []
             for __ in range(2):
                 store, vectors = filled_store(n=120)
-                store.attach_index("r3d", backend, seed=7)
-                runs.append(store.search("r3d", vectors[:10], k=5))
+                runs.append(
+                    store.search("r3d", vectors[:10], k=5, index=IndexConfig(backend=backend), seed=7)
+                )
             assert np.array_equal(runs[0][1], runs[1][1])
             assert np.array_equal(runs[0][0], runs[1][0])
 
@@ -145,26 +155,3 @@ class TestWriteInvalidation:
         assert restored._shards["r3d"]._vindex is None
         __, rows = restored.search("r3d", vectors[11], k=1)
         assert rows[0, 0] == 11
-
-
-class TestUnknownBackendRejected:
-    """A stored spec naming a backend that no longer exists (``lsh``) fails typed."""
-
-    def test_attach_rejects_unknown_backend(self):
-        store, __ = filled_store()
-        with pytest.raises(VectorIndexError, match="lsh"):
-            store.attach_index("r3d", "lsh")
-        assert store.index_backend("r3d") == "exact"
-
-    def test_journal_replay_of_lsh_attach_raises(self):
-        storage = StorageManager()
-        record = {"type": "index_attach", "fid": "r3d", "backend": "lsh", "params": {}}
-        with pytest.raises(VectorIndexError, match="lsh"):
-            replay_records(storage, [record])
-        assert storage.features.index_backend("r3d") == "exact"
-
-    def test_restore_of_lsh_spec_raises_before_replacing_state(self):
-        store, __ = filled_store()
-        with pytest.raises(VectorIndexError, match="lsh"):
-            store.restore_columns({}, {}, index_specs={"r3d": ("lsh", {})})
-        assert store.extractors() == ["r3d"]

@@ -188,7 +188,10 @@ class TestCorpusStats:
         corpus.add_video(single_activity_track("a"))
         corpus.add_video(single_activity_track("a"))
         corpus.add_video(single_activity_track("b", duration=5.0))
-        coverage = corpus.class_coverage()
+        coverage = {
+            name: sum(video.track.coverage(name) for video in corpus.videos())
+            for name in corpus.class_names
+        }
         counts = corpus.class_video_counts()
         assert coverage["a"] == pytest.approx(20.0)
         assert coverage["b"] == pytest.approx(5.0)
