@@ -27,14 +27,17 @@ loop.  Three gates, all of which fail the process (exit 1) when violated:
    slack for sub-100 ms baselines).  Stall faults are exercised by the
    chaos test matrix instead — their latency cost is the client timeout
    constant by construction, so "2× fault-free" would only measure it.
-5. **No regression** — when the committed ``BENCH_serving.json`` was
-   produced by the *same* workload configuration, the new fault-free
-   per-class p50/p99 must stay within 1.05× the committed numbers plus a
-   50 ms absolute slack.
+5. **No regression** — when the ``BENCH_serving.json`` left in the
+   checkout root by the last *passing* run (a local artifact, gitignored)
+   was produced by the *same* workload configuration, the new fault-free
+   per-class p50/p99 must stay within 1.05× its numbers plus a 50 ms
+   absolute slack.
 
 The run also sweeps arrival rates to locate the **saturation point** (offered
 load where shedding or tail blow-up begins) and reports **sessions-per-GB**
-from the measured RSS envelope.  Everything lands in ``BENCH_serving.json``.
+from the measured RSS envelope.  Only a run that passes every gate writes
+its report to ``BENCH_serving.json``, so a failing (noisy) run never
+becomes the baseline the next run is judged against.
 
 Usage::
 
@@ -103,7 +106,7 @@ DEGRADED_FAULTS = (
 #: Gate: degraded-mode overall p99 vs fault-free, plus absolute slack.
 MAX_DEGRADED_P99_RATIO = 2.0
 DEGRADED_P99_SLACK_S = 0.05
-#: Gate: fault-free p50/p99 vs the committed artifact (same-config runs).
+#: Gate: fault-free p50/p99 vs the last passing run's artifact (same config).
 MAX_REGRESSION_RATIO = 1.05
 REGRESSION_SLACK_S = 0.05
 
@@ -510,12 +513,11 @@ def run_degraded_scenario(dataset, sessions: int, cycles: int, seed: int, faulty
 
 
 def regression_verdicts(previous: dict | None, report: dict) -> dict:
-    """Compare fault-free per-class p50/p99 against the committed artifact.
+    """Compare fault-free per-class p50/p99 against the last passing run's.
 
     Only comparable runs gate: the stored workload configuration must equal
-    this run's (quick and full runs produce different workloads, and CI
-    machines only ever compare like with like because the artifact they
-    commit was produced by the same ``--quick`` invocation).
+    this run's (quick and full runs produce different workloads, so a
+    ``--quick`` run is only ever judged against an earlier ``--quick`` run).
     """
     if not previous or previous.get("config") != report["config"]:
         return {"comparable": False, "regressions": []}
@@ -660,7 +662,6 @@ def main(argv: list[str] | None = None) -> int:
         "max_ratio": MAX_REGRESSION_RATIO,
         "slack_s": REGRESSION_SLACK_S,
     }
-    ARTIFACT.write_text(json.dumps(report, indent=2))
 
     failures = 0
     logger.info("")
@@ -713,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     if regression["comparable"]:
         worst = regression["regressions"]
         logger.info(
-            f"fault-free regression vs committed artifact: "
+            f"fault-free regression vs the last passing run: "
             f"{len(worst)} violations over {len(regression['checked'])} checks "
             f"(gate: p50/p99 <= {MAX_REGRESSION_RATIO}x old + "
             f"{REGRESSION_SLACK_S * 1e3:.0f}ms)"
@@ -728,7 +729,7 @@ def main(argv: list[str] | None = None) -> int:
             failures += 1
     else:
         logger.info(
-            "fault-free regression gate skipped: no committed artifact from "
+            "fault-free regression gate skipped: no passing run's artifact from "
             "this workload configuration"
         )
 
@@ -740,9 +741,14 @@ def main(argv: list[str] | None = None) -> int:
         knee = "saturated below the lowest swept rate"
     state = "knee found" if sweep["saturated"] else "knee not crossed at swept rates"
     logger.info(f"saturation: {knee} ({state})")
+    if failures:
+        logger.info(f"artifact not written (a failing run is not a baseline): {ARTIFACT}")
+        logger.info(f"FAIL ({failures} gate(s) violated)")
+        return 1
+    ARTIFACT.write_text(json.dumps(report, indent=2))
     logger.info(f"artifact: {ARTIFACT}")
-    logger.info("PASS" if failures == 0 else f"FAIL ({failures} gate(s) violated)")
-    return 1 if failures else 0
+    logger.info("PASS")
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ The defaults mirror the hyperparameters reported in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
+
+from .exceptions import ConfigError
 
 __all__ = [
     "ALMConfig",
@@ -386,9 +388,18 @@ class VocalExploreConfig:
     def with_updates(self, **sections: Mapping[str, Any] | Any) -> "VocalExploreConfig":
         """Return a copy with whole sections or the seed replaced.
 
+        A section is given as its dataclass, or as a mapping of that
+        dataclass's fields, which builds the section from them (the fields
+        it leaves out take their defaults).
+
         Example::
 
             config.with_updates(scheduler=SchedulerConfig(strategy="serial"), seed=7)
+            config.with_updates(scheduler={"strategy": "serial"})
+
+        Raises:
+            ConfigError: for an unknown section, or a mapping naming a field
+                its section does not have.
         """
         valid = {
             "alm", "feature_selection", "scheduler", "model", "explore", "index",
@@ -396,5 +407,12 @@ class VocalExploreConfig:
         }
         unknown = set(sections) - valid
         if unknown:
-            raise ValueError(f"unknown config sections: {sorted(unknown)}")
+            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        for name, value in sections.items():
+            if name != "seed" and isinstance(value, Mapping):
+                section = type(getattr(self, name))
+                unknown = set(value) - {item.name for item in fields(section)}
+                if unknown:
+                    raise ConfigError(f"unknown {name} config fields: {sorted(unknown)}")
+                sections[name] = section(**value)
         return replace(self, **sections)

@@ -18,8 +18,15 @@ every piece of state the next iteration reads, not just the stores:
 * session bookkeeping (iteration counter, evaluation-round state, eager
   extraction progress, per-iteration summaries).
 
-Everything numeric round-trips bit-exactly: arrays via ``.npz`` / base64
-buffers, scalars via JSON's repr-faithful float encoding.
+Everything numeric round-trips bit-exactly: arrays as their raw bytes,
+scalars via JSON's repr-faithful float encoding.
+
+A snapshot is two files.  ``state.json`` holds the JSON document, and
+``arrays.bin`` every array, C-contiguous at a 64-byte-aligned offset;
+the document's ``arrays`` table maps each array's key to ``[dtype.str,
+shape, offset]``.  Restore takes the bytes recovery already read and
+checksummed, and each array is a writable view into them.  Snapshots of
+format 1 kept the arrays in ``arrays.npz`` instead; they still restore.
 
 What is deliberately *not* captured: pure caches that are bit-identical to
 recompute (the ALM's acquisition-context cache, lazily built sorted-midpoint
@@ -31,9 +38,9 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, fields
-from pathlib import Path
-from typing import TYPE_CHECKING
+import math
+from dataclasses import fields
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -57,8 +64,40 @@ __all__ = [
 ]
 
 STATE_FILE = "state.json"
-ARRAYS_FILE = "arrays.npz"
-_FORMAT = 1
+ARRAYS_FILE = "arrays.bin"
+#: Where format-1 snapshots kept their arrays (read only).
+_NPZ_FILE = "arrays.npz"
+_FORMAT = 2
+#: Byte alignment of every array's offset in ``arrays.bin``.
+_ALIGN = 64
+
+#: Fields captured from each record type, in declaration order (a test
+#: checks them against the dataclasses).  Their list and dict values hold
+#: scalars, so a one-level copy equals ``dataclasses.asdict``.
+_SUMMARY_FIELDS = (
+    "iteration", "acquisition", "feature_name", "num_labels_total", "visible_latency",
+    "background_time_used", "skew_p_value", "used_active_learning",
+    "eliminated_features", "candidate_features", "smax",
+)
+_LATENCY_FIELDS = (
+    "iteration", "visible_latency", "background_time_used", "background_idle_time",
+    "visible_by_kind",
+)
+_BOUND_FIELDS = ("step", "arm", "lower_bound", "upper_bound", "active")
+_STATS_FIELDS = (
+    "warm_trains", "cold_trains", "design_hits", "design_extensions", "design_rebuilds",
+    "cv_cache_hits", "cv_rounds", "cv_warm_folds", "cv_cold_folds",
+)
+_CV_RESULT_FIELDS = ("mean_f1", "fold_scores", "classes_evaluated", "num_examples")
+
+
+def _record_doc(record, names: tuple[str, ...]) -> dict:
+    """``dataclasses.asdict(record)`` for a record whose fields are ``names``."""
+    doc = {}
+    for name in names:
+        value = getattr(record, name)
+        doc[name] = value.copy() if isinstance(value, (list, dict)) else value
+    return doc
 
 
 def _rng_state(generator: np.random.Generator) -> dict:
@@ -155,8 +194,9 @@ def _snapshot_model(model, arrays: dict, key: str, what: str) -> dict:
 
     Built through the shared ``model_document`` codec (the single owner of
     the document's field list), with the parameter array staged in the
-    snapshot bundle under ``key`` and referenced as ``{"npz": key}`` instead
-    of inlined base64 (the journal's default): the registry keeps every
+    snapshot bundle under ``key`` and referenced as ``{"npz": key}`` (the
+    name dates from format 1's ``.npz`` bundle) instead of inlined base64
+    (the journal's default): the registry keeps every
     version ever trained, so inline encoding would grow each snapshot's JSON
     quadratically over a run.
     """
@@ -244,7 +284,7 @@ def _capture_models(session: "ExplorationSession", arrays: dict[str, np.ndarray]
             "clips": _clips_doc(entry.clips),
         }
     cv_cache = {
-        fid: {"key": list(key), "result": asdict(result)}
+        fid: {"key": list(key), "result": _record_doc(result, _CV_RESULT_FIELDS)}
         for fid, (key, result) in manager._cv_cache.items()
     }
     # List entries with explicit fid/folds fields (never packed into a
@@ -277,7 +317,7 @@ def _capture_models(session: "ExplorationSession", arrays: dict[str, np.ndarray]
     }
     return {
         "rng": _rng_state(manager._rng),
-        "stats": asdict(manager.stats),
+        "stats": _record_doc(manager.stats, _STATS_FIELDS),
         "design_cache": design,
         "cv_cache": cv_cache,
         "cv_fold_models": fold_models,
@@ -331,7 +371,7 @@ def _capture_bandit(session: "ExplorationSession") -> dict:
     return {
         "step": bandit._step,
         "arms": arms,
-        "bound_trace": [asdict(snapshot) for snapshot in bandit._bound_trace],
+        "bound_trace": [_record_doc(snapshot, _BOUND_FIELDS) for snapshot in bandit._bound_trace],
     }
 
 
@@ -364,12 +404,14 @@ def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tu
             "round_expected": sorted(session._round_expected),
             "force_acquisition": session.force_acquisition,
             "force_feature": session.force_feature,
-            "summaries": [asdict(summary) for summary in session._summaries],
+            "summaries": [_record_doc(summary, _SUMMARY_FIELDS) for summary in session._summaries],
         },
         "scheduler": {
             "clock_now": scheduler.clock.now,
             "finalised": scheduler._finalised,
-            "iterations": [asdict(record) for record in scheduler._iterations],
+            "iterations": [
+                _record_doc(record, _LATENCY_FIELDS) for record in scheduler._iterations
+            ],
             "queue": _capture_queue(session),
         },
         "alm": {
@@ -397,21 +439,98 @@ def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tu
     return state, arrays
 
 
-def write_snapshot_files(
-    session: "ExplorationSession", directory: Path, extra_state: dict | None
-) -> None:
-    """Write the full snapshot payload into a (temporary) snapshot directory.
+def _pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[dict, bytearray]:
+    """Lay every array out in one buffer; returns ``(table, buffer)``.
 
-    The whole state bundles into exactly two files — ``arrays.npz`` for every
-    binary array (table columns, feature shards, design-cache matrices) and
-    ``state.json`` for everything else — keeping the per-snapshot fsync and
+    Each array is stored C-contiguous at a 64-byte-aligned offset, and
+    ``table`` maps its key to ``[dtype.str, shape, offset]``.
+
+    Raises:
+        CheckpointError: for an array whose dtype its ``dtype.str`` does
+            not round-trip (object and structured dtypes).
+    """
+    table: dict[str, list] = {}
+    placed = []
+    end = 0
+    for key, array in arrays.items():
+        array = np.asarray(array)
+        dtype = array.dtype
+        if dtype.hasobject or np.dtype(dtype.str) != dtype:
+            raise CheckpointError(
+                f"snapshot array {key!r} has dtype {dtype}, which is not storable"
+            )
+        offset = -(-end // _ALIGN) * _ALIGN
+        table[key] = [dtype.str, list(array.shape), offset]
+        placed.append((offset, array))
+        end = offset + array.nbytes
+    buffer = bytearray(end)
+    for offset, array in placed:
+        if array.nbytes:
+            np.ndarray(array.shape, array.dtype, buffer, offset)[...] = array
+    return table, buffer
+
+
+def _unpack_arrays(table: dict, payload: bytearray) -> dict[str, np.ndarray]:
+    """Inverse of :func:`_pack_arrays`: views into ``payload``, one per key.
+
+    Raises:
+        CheckpointError: for an object dtype, a malformed entry, or an
+            entry whose extent falls outside the buffer.
+    """
+    arrays = {}
+    for key, entry in table.items():
+        try:
+            dtype_str, shape, offset = entry
+            dtype = np.dtype(dtype_str)
+            shape = tuple(int(n) for n in shape)
+            offset = int(offset)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"snapshot array {key!r} has a malformed entry {entry!r}"
+            ) from exc
+        if dtype.hasobject:
+            raise CheckpointError(f"snapshot array {key!r} has object dtype {dtype_str!r}")
+        if (
+            offset < 0
+            or any(n < 0 for n in shape)
+            or offset + math.prod(shape) * dtype.itemsize > len(payload)
+        ):
+            raise CheckpointError(
+                f"snapshot array {key!r} ({dtype_str}, {shape} at {offset}) lies outside "
+                f"the {len(payload)}-byte bundle"
+            )
+        arrays[key] = np.ndarray(shape, dtype, payload, offset)
+    return arrays
+
+
+def _load_arrays(state: dict, files: Mapping[str, bytes]) -> dict[str, np.ndarray]:
+    """The snapshot's arrays, from ``arrays.bin`` (or format 1's ``arrays.npz``)."""
+    name = _NPZ_FILE if state["format"] == 1 else ARRAYS_FILE
+    if name not in files:
+        raise CheckpointError(f"snapshot has no {name}")
+    if state["format"] == 1:
+        with np.load(io.BytesIO(files[name]), allow_pickle=False) as payload:
+            return {key: payload[key] for key in payload.files}
+    if not isinstance(state.get("arrays"), dict):
+        raise CheckpointError("snapshot state has no arrays table")
+    return _unpack_arrays(state["arrays"], files[name])
+
+
+def write_snapshot_files(
+    session: "ExplorationSession", extra_state: dict | None
+) -> dict[str, bytes]:
+    """The full snapshot payload: file name -> contents.
+
+    The whole state bundles into exactly two files — ``arrays.bin`` for
+    every binary array (table columns, feature shards, design-cache
+    statistics, model parameters) and ``state.json`` for everything else,
+    its ``arrays`` table included — keeping the per-snapshot fsync and
     checksum count constant instead of per-store.  The snapshot publisher
-    fsyncs, checksums, and atomically renames the directory afterwards.
+    writes, fsyncs, checksums, and atomically publishes them.
     """
     state, arrays = capture_state(session, extra_state)
-    with open(directory / ARRAYS_FILE, "wb") as handle:
-        np.savez(handle, **arrays)
-    (directory / STATE_FILE).write_text(json.dumps(state))
+    state["arrays"], payload = _pack_arrays(arrays)
+    return {ARRAYS_FILE: payload, STATE_FILE: json.dumps(state).encode("utf-8")}
 
 
 # --------------------------------------------------------------------- restore
@@ -526,31 +645,30 @@ def _restore_scheduler(session: "ExplorationSession", doc: dict) -> None:
         session._resubmit_task(spec)
 
 
-def restore_snapshot_files(session: "ExplorationSession", directory: Path) -> dict:
-    """Restore a session in place from a snapshot directory; returns extras.
+def restore_snapshot_files(session: "ExplorationSession", files: Mapping[str, bytes]) -> dict:
+    """Restore a session in place from a snapshot's files; returns extras.
 
-    The session must be freshly built with the same corpus, configuration,
-    and seed that produced the checkpoint; restoring overwrites stores,
-    caches, RNGs, the bandit, and scheduler state so the next ``explore``
-    call continues exactly where the checkpointed run would have.
+    ``files`` maps file names to their (checksum-verified) contents, as
+    recovery read them.  The session must be freshly built with the same
+    corpus, configuration, and seed that produced the checkpoint; restoring
+    overwrites stores, caches, RNGs, the bandit, and scheduler state so the
+    next ``explore`` call continues exactly where the checkpointed run would
+    have.
     """
     from .session import IterationSummary
 
-    directory = Path(directory)
     try:
-        state = json.loads((directory / STATE_FILE).read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"snapshot state in {directory} is unreadable: {exc}") from exc
-    if state.get("format") != _FORMAT:
+        state = json.loads(files[STATE_FILE])
+    except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"snapshot state is unreadable: {exc!r}") from exc
+    if state.get("format") not in (1, _FORMAT):
         raise CheckpointError(f"unsupported snapshot format {state.get('format')!r}")
     if state["seed"] != session.config.seed:
         raise CheckpointError(
             f"checkpoint was written with seed {state['seed']}, session uses "
             f"{session.config.seed}; resume requires the same configuration"
         )
-
-    with np.load(io.BytesIO((directory / ARRAYS_FILE).read_bytes()), allow_pickle=False) as payload:
-        arrays = {name: payload[name] for name in payload.files}
+    arrays = _load_arrays(state, files)
 
     storage = session.storage
     features_meta = state["features"]

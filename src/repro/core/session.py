@@ -614,7 +614,7 @@ class ExplorationSession:
         durability = self._require_durability()
         extras = self.extra_state_provider() if self.extra_state_provider is not None else None
         return durability.write_generation(
-            lambda tmpdir: _checkpoint.write_snapshot_files(self, tmpdir, extras)
+            lambda: _checkpoint.write_snapshot_files(self, extras)
         )
 
     def resume(self) -> RecoveryReport:
@@ -636,7 +636,9 @@ class ExplorationSession:
         if recovered.snapshot_dir is not None:
             self.storage.detach_journal()
             try:
-                extra_state = _checkpoint.restore_snapshot_files(self, recovered.snapshot_dir)
+                extra_state = _checkpoint.restore_snapshot_files(
+                    self, recovered.snapshot_files
+                )
             finally:
                 self.storage.attach_journal(durability.journal_record)
         else:

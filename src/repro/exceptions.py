@@ -12,6 +12,10 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
 
+class ConfigError(ReproError, ValueError):
+    """Raised for a configuration section or field that does not exist."""
+
+
 class StorageError(ReproError):
     """Raised by the storage manager and its stores."""
 

@@ -7,7 +7,7 @@ stakes"):
 
 * :mod:`~repro.storage.durability.journal` — an append-only write-ahead
   journal of store writes (labels, feature-batch appends, model
-  registrations, index attach/sync events), CRC-framed per record with
+  registrations), CRC-framed per record with
   torn-tail truncation and checksum rejection of corrupt segments;
 * :mod:`~repro.storage.durability.snapshot` — atomic generation-numbered
   snapshots (write-to-temp + fsync + rename) with a per-file checksum
@@ -34,7 +34,7 @@ from .faults import FaultInjector, InjectedCrash, fault_point, inject_faults
 from .journal import JournalReadResult, JournalWriter, read_journal
 from .manager import CheckpointManager, RecoveredState
 from .replay import replay_records
-from .snapshot import latest_valid_snapshot, list_generations, load_manifest, write_snapshot
+from .snapshot import latest_valid_snapshot, list_generations, read_snapshot, write_snapshot
 
 __all__ = [
     "CheckpointManager",
@@ -47,8 +47,8 @@ __all__ = [
     "inject_faults",
     "latest_valid_snapshot",
     "list_generations",
-    "load_manifest",
     "read_journal",
+    "read_snapshot",
     "replay_records",
     "write_snapshot",
 ]

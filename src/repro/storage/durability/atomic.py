@@ -19,19 +19,24 @@ from .faults import fault_point
 
 __all__ = [
     "atomic_replace_dir",
-    "fsync_file",
+    "write_file",
     "fsync_dir",
-    "crc32_file",
+    "crc32_hex",
 ]
 
-def fsync_file(path: Path, label: str) -> None:
-    """fsync an already-written file by path."""
-    fault_point(f"fsync:{label}")
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+
+def write_file(path: Path, payload: bytes, label: str) -> None:
+    """Write ``payload`` as the whole of a new file and fsync it.
+
+    The fsync goes through the descriptor that wrote the bytes, so the file
+    is never reopened.
+    """
+    fault_point(f"write:{label}")
+    with open(path, "wb") as handle:
+        handle.write(payload)
+        handle.flush()
+        fault_point(f"fsync:{label}")
+        os.fsync(handle.fileno())
 
 
 def fsync_dir(directory: Path, label: str) -> None:
@@ -56,8 +61,8 @@ def atomic_replace_dir(tmp_dir: Path, final_dir: Path, label: str) -> None:
     fsync_dir(final_dir.parent, label)
 
 
-def crc32_file(path: Path) -> str:
-    """Hex CRC-32 of a file's contents.
+def crc32_hex(payload: bytes) -> str:
+    """Hex CRC-32 of a file's contents, taken from the bytes in memory.
 
     The durability layer standardises on CRC-32 for corruption *detection*
     (the journal frames every record with one): snapshots are trusted local
@@ -65,8 +70,4 @@ def crc32_file(path: Path) -> str:
     CRC is an order of magnitude cheaper than a cryptographic hash on the
     multi-megabyte state bundles checksummed at every checkpoint.
     """
-    crc = 0
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            crc = zlib.crc32(chunk, crc)
-    return f"{crc & 0xFFFFFFFF:08x}"
+    return f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from ... import telemetry
 from .journal import JournalReadResult, JournalWriter, read_journal
@@ -49,6 +49,9 @@ class RecoveredState:
     generation: int = 0
     #: Directory of the recovered snapshot, or None before the first one.
     snapshot_dir: Path | None = None
+    #: The recovered snapshot's files (name -> checksum-verified contents),
+    #: read once during validation; empty before the first snapshot.
+    snapshot_files: dict[str, bytearray] = field(default_factory=dict)
     #: Journal records durable after the recovered snapshot, in append order.
     tail_records: list[dict] = field(default_factory=list)
     #: Bytes of torn journal tail truncated during recovery.
@@ -115,10 +118,12 @@ class CheckpointManager:
             self._journal.commit()
 
     # ---------------------------------------------------------------- snapshots
-    def write_generation(self, writer: Callable[[Path], None]) -> int:
+    def write_generation(self, writer: Callable[[], Mapping[str, bytes]]) -> int:
         """Publish the next snapshot generation and roll the journal.
 
-        The active journal segment is committed first (a snapshot must never
+        ``writer`` returns the snapshot's file contents by name (see
+        :func:`~repro.storage.durability.snapshot.write_snapshot`).  The
+        active journal segment is committed first (a snapshot must never
         be newer than the log), the snapshot is written and atomically
         renamed into place, a fresh journal segment is opened for the new
         generation, and old generations are garbage-collected.
@@ -151,15 +156,16 @@ class CheckpointManager:
     def recover(self) -> RecoveredState:
         """Find the latest valid snapshot and repair + read its journal tail.
 
-        Also re-points the active journal segment at the recovered
-        generation, so writes after recovery append beyond the durable
-        prefix.  Corrupt newer snapshots are skipped (and reported), never
-        deleted.
+        The snapshot's files are read once, to verify their checksums, and
+        returned in :attr:`RecoveredState.snapshot_files`.  Also re-points
+        the active journal segment at the recovered generation, so writes
+        after recovery append beyond the durable prefix.  Corrupt newer
+        snapshots are skipped (and reported), never deleted.
         """
         state = RecoveredState()
         latest = latest_valid_snapshot(self.directory)
         if latest is not None:
-            state.generation, state.snapshot_dir = latest
+            state.generation, state.snapshot_dir, state.snapshot_files = latest
             self._known_good = [latest[0]]
         else:
             self._known_good = []

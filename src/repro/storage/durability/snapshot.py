@@ -2,30 +2,33 @@
 
 A snapshot is a directory ``snapshot-<generation>`` containing arbitrary
 state files plus a ``MANIFEST.json`` recording the generation number and a
-CRC-32 per file (corruption detection, matching the journal's framing).  Publication is atomic: everything is written into a
-``*.building`` temporary directory, each file is fsynced, the manifest is
-written last, and a single rename commits the snapshot.  Recovery walks
-generations newest-first and uses the first snapshot whose manifest and
-checksums validate, so a half-written or bit-rotted snapshot is rejected
-in favour of the previous durable one.
+CRC-32 per file (corruption detection, matching the journal's framing).
+Publication is atomic: everything is written into a ``*.building``
+temporary directory, each file is fsynced as it is written and checksummed
+from the bytes in memory, the manifest is written last, and a single
+rename commits the snapshot.  Recovery walks generations newest-first and
+uses the first snapshot whose manifest and checksums validate, so a
+half-written or bit-rotted snapshot is rejected in favour of the previous
+durable one; the files it verified are handed on, so a restore reads each
+file once.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from ...exceptions import StorageError
-from .atomic import atomic_replace_dir, crc32_file, fsync_dir, fsync_file
-from .faults import fault_point
+from .atomic import atomic_replace_dir, crc32_hex, fsync_dir, write_file
 
 __all__ = [
     "MANIFEST_NAME",
     "snapshot_dir_name",
     "write_snapshot",
-    "load_manifest",
+    "read_snapshot",
     "list_generations",
     "latest_valid_snapshot",
     "gc_generations",
@@ -50,14 +53,17 @@ def _generation_of(name: str) -> int | None:
         return None
 
 
-def write_snapshot(root: str | Path, generation: int, writer: Callable[[Path], None]) -> Path:
+def write_snapshot(
+    root: str | Path, generation: int, writer: Callable[[], Mapping[str, bytes]]
+) -> Path:
     """Write and atomically publish one snapshot generation.
 
     Args:
         root: Checkpoint directory holding all generations.
         generation: Generation number to publish (must not already exist).
-        writer: Callback that writes the state files into the temporary
-            directory it is handed.
+        writer: Callback returning the state files' contents, keyed by
+            their path relative to the snapshot directory.  Each is written
+            and fsynced once, and checksummed from these bytes.
 
     Returns:
         The published snapshot directory.
@@ -75,26 +81,38 @@ def write_snapshot(root: str | Path, generation: int, writer: Callable[[Path], N
         shutil.rmtree(building)
     building.mkdir(parents=True)
 
-    writer(building)
-
     files: dict[str, dict] = {}
     label = f"snapshot-{generation}"
-    for path in sorted(p for p in building.rglob("*") if p.is_file()):
-        rel = path.relative_to(building).as_posix()
-        fsync_file(path, f"{label}:{rel}")
-        files[rel] = {"crc32": crc32_file(path), "bytes": path.stat().st_size}
+    for rel, payload in sorted(writer().items()):
+        path = building / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_file(path, payload, f"{label}:{rel}")
+        files[rel] = {"crc32": crc32_hex(payload), "bytes": len(payload)}
     manifest = {"format": 1, "generation": generation, "files": files}
-    manifest_path = building / MANIFEST_NAME
-    fault_point(f"write:{label}:{MANIFEST_NAME}")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    fsync_file(manifest_path, f"{label}:{MANIFEST_NAME}")
+    write_file(
+        building / MANIFEST_NAME,
+        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
+        f"{label}:{MANIFEST_NAME}",
+    )
     fsync_dir(building, label)
     atomic_replace_dir(building, final, label)
     return final
 
 
-def load_manifest(snapshot: Path, verify: bool = True) -> dict:
-    """Load and (optionally) checksum-verify one snapshot's manifest.
+def _read(path: Path) -> bytearray:
+    """A file's contents in one writable buffer (arrays restored from it
+    may be views, so they stay writable like freshly built ones)."""
+    with open(path, "rb") as handle:
+        payload = bytearray(os.fstat(handle.fileno()).st_size)
+        handle.readinto(payload)
+    return payload
+
+
+def read_snapshot(snapshot: Path) -> dict[str, bytearray]:
+    """One snapshot's files, each read once and verified against its manifest.
+
+    Returns each manifest entry's contents, whose CRC-32 matched the
+    manifest's, by name.
 
     Raises:
         StorageError: when the manifest is missing/unparsable or any file
@@ -107,14 +125,16 @@ def load_manifest(snapshot: Path, verify: bool = True) -> dict:
         manifest = json.loads(manifest_path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StorageError(f"snapshot {snapshot} manifest is unreadable: {exc}") from exc
-    if verify:
-        for rel, meta in manifest.get("files", {}).items():
-            path = snapshot / rel
-            if not path.exists():
-                raise StorageError(f"snapshot {snapshot} is missing file {rel!r}")
-            if crc32_file(path) != meta["crc32"]:
-                raise StorageError(f"snapshot {snapshot} file {rel!r} fails its checksum")
-    return manifest
+    files: dict[str, bytearray] = {}
+    for rel, meta in manifest.get("files", {}).items():
+        try:
+            payload = _read(snapshot / rel)
+        except OSError as exc:
+            raise StorageError(f"snapshot {snapshot} file {rel!r} is unreadable: {exc}") from exc
+        if crc32_hex(payload) != meta["crc32"]:
+            raise StorageError(f"snapshot {snapshot} file {rel!r} fails its checksum")
+        files[rel] = payload
+    return files
 
 
 def list_generations(root: str | Path) -> list[int]:
@@ -130,20 +150,23 @@ def list_generations(root: str | Path) -> list[int]:
     return sorted(generations)
 
 
-def latest_valid_snapshot(root: str | Path) -> tuple[int, Path] | None:
+def latest_valid_snapshot(root: str | Path) -> tuple[int, Path, dict[str, bytearray]] | None:
     """Newest generation whose manifest and checksums validate (or None).
 
-    Invalid newer generations are skipped, not deleted — recovery never
-    destroys evidence; garbage collection is a separate explicit step.
+    Returns ``(generation, directory, files)``, ``files`` being the
+    verified contents :func:`read_snapshot` read, so a caller restoring
+    from them never reads the snapshot a second time.  Invalid newer
+    generations are skipped, not deleted — recovery never destroys
+    evidence; garbage collection is a separate explicit step.
     """
     root = Path(root)
     for generation in reversed(list_generations(root)):
         snapshot = root / snapshot_dir_name(generation)
         try:
-            load_manifest(snapshot, verify=True)
+            files = read_snapshot(snapshot)
         except StorageError:
             continue
-        return generation, snapshot
+        return generation, snapshot, files
     return None
 
 

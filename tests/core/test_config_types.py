@@ -7,11 +7,12 @@ from repro.config import (
     ALMConfig,
     ExploreConfig,
     FeatureSelectionConfig,
+    IndexConfig,
     ModelConfig,
     SchedulerConfig,
     VocalExploreConfig,
 )
-from repro.exceptions import InvalidClipError
+from repro.exceptions import ConfigError, InvalidClipError
 from repro.types import ClipSpec, FeatureVector, Label, Prediction, VideoRecord, VideoSegment
 
 
@@ -84,8 +85,30 @@ class TestConfigValidation:
         assert config.scheduler.strategy == "ve-full"
 
     def test_with_updates_unknown_section_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="gpu"):
             VocalExploreConfig().with_updates(gpu="a100")
+
+    def test_with_updates_builds_a_section_from_a_mapping(self, tmp_path):
+        config = VocalExploreConfig(seed=3)
+        from_mapping = config.with_updates(
+            scheduler={"strategy": "serial", "checkpoint_dir": str(tmp_path)},
+            index={"backend": "ivf-flat", "nprobe": 2},
+        )
+        from_dataclasses = config.with_updates(
+            scheduler=SchedulerConfig(strategy="serial", checkpoint_dir=str(tmp_path)),
+            index=IndexConfig(backend="ivf-flat", nprobe=2),
+        )
+        assert from_mapping == from_dataclasses
+        assert isinstance(from_mapping.scheduler, SchedulerConfig)
+        assert from_mapping.scheduler.engine == "simulated"  # a default
+        assert from_mapping.seed == 3
+
+    def test_with_updates_mapping_with_unknown_field_names_its_section(self):
+        with pytest.raises(ConfigError, match=r"unknown scheduler config fields: \['engines'\]"):
+            VocalExploreConfig().with_updates(scheduler={"engines": "threads"})
+        # Field values are still validated by the section itself.
+        with pytest.raises(ValueError, match="engine"):
+            VocalExploreConfig().with_updates(scheduler={"engine": "greenlets"})
 
 
 class TestVideoRecordAndClip:

@@ -11,28 +11,54 @@ from repro.storage.durability import (
     CheckpointManager,
     latest_valid_snapshot,
     list_generations,
-    load_manifest,
+    read_snapshot,
     write_snapshot,
 )
 from repro.storage.durability.faults import FaultInjector, InjectedCrash, inject_faults
 
 
 def write_simple(root, generation, content=b"payload"):
-    def writer(tmpdir):
-        (tmpdir / "data.bin").write_bytes(content)
-        (tmpdir / "nested").mkdir()
-        (tmpdir / "nested" / "more.txt").write_text("state")
-
-    return write_snapshot(root, generation, writer)
+    return write_snapshot(
+        root, generation, lambda: {"data.bin": content, "nested/more.txt": b"state"}
+    )
 
 
 class TestSnapshotWrite:
     def test_publish_and_validate(self, tmp_path):
         snapshot = write_simple(tmp_path, 1)
-        manifest = load_manifest(snapshot)
+        files = read_snapshot(snapshot)
+        manifest = json.loads((snapshot / "MANIFEST.json").read_text())
         assert manifest["generation"] == 1
         assert set(manifest["files"]) == {"data.bin", "nested/more.txt"}
+        assert files == {"data.bin": b"payload", "nested/more.txt": b"state"}
+        assert (snapshot / "nested" / "more.txt").read_bytes() == b"state"
         assert list_generations(tmp_path) == [1]
+
+    def test_each_file_is_written_then_fsynced_before_the_manifest(self, tmp_path):
+        with inject_faults(FaultInjector()) as injector:
+            write_simple(tmp_path, 3)
+        label = "snapshot-3"
+        assert injector.crossed == [
+            f"write:{label}:data.bin",
+            f"fsync:{label}:data.bin",
+            f"write:{label}:nested/more.txt",
+            f"fsync:{label}:nested/more.txt",
+            f"write:{label}:MANIFEST.json",
+            f"fsync:{label}:MANIFEST.json",
+            f"dirsync:{label}",
+            f"rename:{label}",
+            f"dirsync:{label}",
+        ]
+
+    def test_a_crash_before_a_file_write_leaves_it_absent(self, tmp_path):
+        # Crossing #2 is the write of the second file.
+        with pytest.raises(InjectedCrash, match="write:snapshot-1:nested/more.txt"):
+            with inject_faults(FaultInjector(crash_at=2)):
+                write_simple(tmp_path, 1)
+        building = tmp_path / "snapshot-00000001.building"
+        assert (building / "data.bin").read_bytes() == b"payload"
+        assert not (building / "nested" / "more.txt").exists()
+        assert latest_valid_snapshot(tmp_path) is None
 
     def test_duplicate_generation_rejected(self, tmp_path):
         write_simple(tmp_path, 1)
@@ -71,7 +97,7 @@ class TestRecoveryFallback:
         write_simple(tmp_path, 1)
         snapshot2 = write_simple(tmp_path, 2)
         (snapshot2 / "data.bin").write_bytes(b"bit rot")
-        generation, path = latest_valid_snapshot(tmp_path)
+        generation, path, files = latest_valid_snapshot(tmp_path)
         assert generation == 1
 
     def test_missing_manifest_is_skipped(self, tmp_path):
@@ -95,7 +121,7 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path)
         manager.journal_record({"type": "iteration", "iteration": 1})
         manager.commit()
-        generation = manager.write_generation(lambda d: (d / "s.txt").write_text("x"))
+        generation = manager.write_generation(lambda: {"s.txt": b"x"})
         assert generation == 1
         manager.journal_record({"type": "iteration", "iteration": 2})
         manager.commit()
@@ -108,7 +134,7 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path, keep_generations=2)
         for n in range(1, 5):
             manager.journal_record({"n": n})
-            manager.write_generation(lambda d, n=n: (d / "s.txt").write_text(str(n)))
+            manager.write_generation(lambda n=n: {"s.txt": str(n).encode()})
         manager.journal_record({"n": 5})
         manager.commit()
         assert list_generations(tmp_path) == [3, 4]
@@ -118,8 +144,8 @@ class TestCheckpointManager:
 
     def test_recover_skips_tampered_generation_and_reports_it(self, tmp_path):
         manager = CheckpointManager(tmp_path, keep_generations=3)
-        manager.write_generation(lambda d: (d / "s.txt").write_text("1"))
-        manager.write_generation(lambda d: (d / "s.txt").write_text("2"))
+        manager.write_generation(lambda: {"s.txt": b"1"})
+        manager.write_generation(lambda: {"s.txt": b"2"})
         snapshot2 = manager.snapshot_path(2)
         (snapshot2 / "s.txt").write_text("tampered")
         recovered = manager.recover()
@@ -129,11 +155,11 @@ class TestCheckpointManager:
 
     def test_next_generation_skips_over_invalid_one(self, tmp_path):
         manager = CheckpointManager(tmp_path, keep_generations=3)
-        manager.write_generation(lambda d: (d / "s.txt").write_text("1"))
-        manager.write_generation(lambda d: (d / "s.txt").write_text("2"))
+        manager.write_generation(lambda: {"s.txt": b"1"})
+        manager.write_generation(lambda: {"s.txt": b"2"})
         (manager.snapshot_path(2) / "s.txt").write_text("tampered")
         manager.recover()
-        generation = manager.write_generation(lambda d: (d / "s.txt").write_text("3"))
+        generation = manager.write_generation(lambda: {"s.txt": b"3"})
         assert generation == 3
         assert latest_valid_snapshot(tmp_path)[0] == 3
         manager.close()
@@ -142,15 +168,15 @@ class TestCheckpointManager:
         """GC retains known-good generations, not a positional count: a
         bit-rotted newer snapshot must not displace the valid fallback."""
         manager = CheckpointManager(tmp_path, keep_generations=2)
-        manager.write_generation(lambda d: (d / "s.txt").write_text("2"))  # gen 1
-        manager.write_generation(lambda d: (d / "s.txt").write_text("2"))  # gen 2
+        manager.write_generation(lambda: {"s.txt": b"2"})  # gen 1
+        manager.write_generation(lambda: {"s.txt": b"2"})  # gen 2
         manager.close()
         (tmp_path / "snapshot-00000002" / "s.txt").write_text("bit rot")  # corrupt gen 2
 
         fresh = CheckpointManager(tmp_path, keep_generations=2)
         recovered = fresh.recover()
         assert recovered.generation == 1
-        fresh.write_generation(lambda d: (d / "s.txt").write_text("3"))  # gen 3
+        fresh.write_generation(lambda: {"s.txt": b"3"})  # gen 3
         # The corrupt gen 2 is collected; the valid gen 1 fallback survives.
         assert list_generations(tmp_path) == [1, 3]
         assert latest_valid_snapshot(tmp_path)[0] == 3

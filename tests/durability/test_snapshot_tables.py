@@ -1,4 +1,4 @@
-"""The snapshot layout of the video and label stores (format 1), pinned.
+"""The snapshot layout of the video and label stores (formats 1 and 2), pinned.
 
 ``stage_tables`` writes each store as one ``table__<name>__<column>`` array
 per column plus a table doc.  The digests hash every array's name, dtype
@@ -8,12 +8,12 @@ No model math is involved, so the values hold on every platform.
 """
 
 import hashlib
-import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.core import checkpoint
 from repro.core.checkpoint import restore_tables, stage_tables
 from repro.exceptions import CheckpointError
 from repro.storage.label_store import LabelStore
@@ -57,13 +57,10 @@ def staging_digest(tables, arrays):
     return digest.hexdigest()
 
 
-def through_npz(arrays):
-    """Round-trip the staged arrays through the snapshot's ``.npz`` codec."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    buffer.seek(0)
-    with np.load(buffer, allow_pickle=False) as payload:
-        return {name: payload[name] for name in payload.files}
+def through_snapshot(arrays):
+    """Round-trip the staged arrays through the snapshot's array bundle."""
+    table, buffer = checkpoint._pack_arrays(arrays)
+    return checkpoint._unpack_arrays(json.loads(json.dumps(table)), bytes(buffer))
 
 
 @pytest.mark.parametrize("case", ["empty", "filled"])
@@ -78,7 +75,7 @@ def test_restore_roundtrip():
     videos, labels = filled_stores()
     arrays = {}
     tables = stage_tables(videos, labels, arrays)
-    arrays = through_npz(arrays)
+    arrays = through_snapshot(arrays)
 
     new_videos, new_labels = VideoStore(), LabelStore()
     new_videos.add("stale.mp4", 1.0)
@@ -102,7 +99,7 @@ def test_restore_empty_tables():
     arrays = {}
     tables = stage_tables(VideoStore(), LabelStore(), arrays)
     videos, labels = filled_stores()
-    restore_tables(videos, labels, tables, through_npz(arrays))
+    restore_tables(videos, labels, tables, through_snapshot(arrays))
     assert len(videos) == 0 and len(labels) == 0 and labels.revision == 0
     assert videos.add("first.mp4", 1.0).vid == 0
 
