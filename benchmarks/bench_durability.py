@@ -9,7 +9,7 @@ properties, all of which fail the process (exit 1) when violated:
 1. **Checkpoint overhead** — with write-ahead journaling on and a full
    snapshot every 5 iterations, the explore loop must cost <= 10% more wall
    time than the same run without durability.
-2. **Bit-identical resume** — interrupting a seeded serial-engine run and
+2. **Bit-identical resume** — interrupting a seeded serial-strategy run and
    resuming from its last checkpoint must reproduce the uninterrupted run's
    final model parameters *bit-identically* (plus labels, per-iteration
    latency records, and cumulative visible latency).
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         failures += 1
 
     logger.info("")
-    logger.info("== bit-identical resume of an interrupted run (serial engine) ==")
+    logger.info("== bit-identical resume of an interrupted run (serial strategy) ==")
     logger.info(
         f"interrupted at step {identity['interrupted_at']}, resumed from "
         f"{identity['resumed_from']}, {identity['durable_tail_labels']} durable tail labels"

@@ -39,6 +39,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import logging
 import shutil
@@ -51,9 +52,21 @@ from repro import telemetry
 from repro.datasets.catalog import build_dataset
 from repro.experiments.runner import RunnerConfig, SessionRunner
 
-from bench_engine import GOLDEN_SIMULATED_SHA256, simulated_records_digest
-
 logger = logging.getLogger(__name__)
+
+
+def _load_golden_digest():
+    """The tier-1 golden-digest test module, loaded by path (its one home)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "integration" / "test_golden_digest.py"
+    spec = importlib.util.spec_from_file_location("test_golden_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_golden = _load_golden_digest()
+GOLDEN_SIMULATED_SHA256 = _golden.GOLDEN_SIMULATED_SHA256
+simulated_records_digest = _golden.simulated_records_digest
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
 #: Copy of the sample run's Chrome trace, kept at a stable path so CI can

@@ -19,7 +19,6 @@ Provides four subcommands:
 Example::
 
     python -m repro.cli explore --dataset k20-skew --steps 20 --strategy ve-full
-    python -m repro.cli explore --dataset deer --engine threads --workers 4 --time-scale 0.001
     python -m repro.cli explore --dataset deer --trace-dir /tmp/trace --slo 5.0
     python -m repro.cli report --trace-dir /tmp/trace
     python -m repro.cli search --dataset deer --vid 0 --start 0 --end 1 --backend ivf-flat
@@ -36,7 +35,6 @@ from typing import Callable, Sequence
 
 from . import telemetry
 from .datasets.catalog import DATASET_NAMES
-from .scheduler.engine import ENGINE_NAMES
 from .experiments import (
     format_series,
     format_table,
@@ -96,19 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the incremental training engine (warm-start retrains, "
         "cached design matrices, fold-reuse cross-validation) and train every "
         "model cold from scratch",
-    )
-    explore.add_argument(
-        "--engine", choices=ENGINE_NAMES, default="simulated",
-        help="execution backend: deterministic simulated clock or a real worker pool",
-    )
-    explore.add_argument(
-        "--workers", type=int, default=4,
-        help="worker-pool size for --engine threads",
-    )
-    explore.add_argument(
-        "--time-scale", type=float, default=1.0,
-        help="wall seconds per cost-model second for --engine threads "
-        "(use e.g. 0.001 to compress a session into milliseconds)",
     )
     explore.add_argument(
         "--checkpoint-dir", default=None,
@@ -251,9 +236,6 @@ def _run_explore(args: argparse.Namespace) -> str:
         force_acquisition=args.acquisition,
         label_noise=args.label_noise,
         warm_start=args.warm_start,
-        engine=args.engine,
-        num_workers=args.workers,
-        time_scale=args.time_scale,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,

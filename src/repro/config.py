@@ -98,13 +98,11 @@ class FeatureSelectionConfig:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Task-scheduler behaviour (Section 4) and execution backend.
+    """Task-scheduler behaviour (Section 4).
 
-    ``strategy`` decides *what* is deferred to the labeling window;
-    ``engine`` decides *how* deferred work executes — against the
-    deterministic simulated clock (``"simulated"``, the default every
-    experiment uses) or on a real worker pool (``"threads"``).  See
-    ``docs/SCHEDULER.md`` ("Choosing an engine") for guidance.
+    ``strategy`` decides *what* is deferred to the labeling window.  Every
+    task runs against the scheduler's deterministic simulated clock; see
+    ``docs/SCHEDULER.md`` for the task model and window accounting.
     """
 
     #: Scheduling strategy: "serial", "ve-partial", or "ve-full".
@@ -118,15 +116,6 @@ class SchedulerConfig:
     #: Hard cap on eagerly processed videos (the "guardrail" in Section 4.2);
     #: ``None`` means no cap.
     eager_video_limit: int | None = None
-    #: Execution backend: "simulated" (deterministic discrete-event clock) or
-    #: "threads" (real ``concurrent.futures`` worker pool).
-    engine: str = "simulated"
-    #: Worker-pool size for the "threads" engine (ignored by "simulated").
-    num_workers: int = 4
-    #: Wall seconds one cost-model second takes on the "threads" engine; 1.0
-    #: means real time, small values (e.g. 1e-3) compress seeded workloads
-    #: into milliseconds for benchmarks and tests.
-    time_scale: float = 1.0
     #: Directory for durable checkpoints (``repro.storage.durability``).
     #: When set, every store write is journaled (write-ahead, fsynced at
     #: iteration boundaries) and ``ExplorationSession.checkpoint()/resume()``
@@ -143,28 +132,10 @@ class SchedulerConfig:
             raise ValueError("user_labeling_time must be >= 0")
         if self.eager_batch_size < 1:
             raise ValueError("eager_batch_size must be >= 1")
-        # Local import: config is imported by the scheduler package, so the
-        # canonical engine-name list can only be pulled in lazily.
-        from .scheduler.engine import ENGINE_NAMES
-
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(f"unknown execution engine {self.engine!r}; known: {list(ENGINE_NAMES)}")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be > 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.checkpoint_every > 0 and self.checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir to be set")
-        if self.checkpoint_every > 0 and self.engine != "simulated":
-            # Fail at construction, not at the first auto-checkpoint boundary
-            # mid-run: snapshots capture the deterministic simulated state.
-            raise ValueError(
-                "checkpoint_every requires the simulated engine "
-                f"(got engine={self.engine!r}); journaling alone "
-                "(checkpoint_dir without checkpoint_every) works on any engine"
-            )
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ class VOCALExplore:
         return self._session
 
     def close(self) -> None:
-        """Close the session and release it; required for the threads engine.
+        """Close the session and release it.
 
         Idempotent.  The handle is unusable afterwards: it drops its session
         even when closing it fails, so the session's memory is freed as soon
@@ -213,8 +213,7 @@ class VOCALExplore:
         """Restore this freshly built instance from its checkpoint directory.
 
         Recovers the newest valid snapshot plus the journal tail; the run
-        continues bit-identically from the recovered iteration on the
-        simulated engine.  See :class:`~repro.core.session.RecoveryReport`
+        continues bit-identically from the recovered iteration.  See :class:`~repro.core.session.RecoveryReport`
         for what the journal tail preserved.
         """
         return self.session.resume()

@@ -1,8 +1,8 @@
 """Session state capture and restore for durable checkpoints.
 
 A checkpoint must allow an interrupted ``explore`` run to *continue
-bit-identically* on the serial (simulated) engine, so the snapshot captures
-every piece of state the next iteration reads, not just the stores:
+bit-identically*, so the snapshot captures every piece of state the next
+iteration reads, not just the stores:
 
 * the four stores (video/label records, feature columns, registered models),
   including the feature shards' ``epoch`` counters that key derived caches;

@@ -34,7 +34,6 @@ from ..exceptions import CheckpointError, InsufficientLabelsError, ReproError
 from ..features.feature_manager import FeatureManager
 from ..models.model_manager import ModelManager
 from ..scheduler.cost_model import CostModel
-from ..scheduler.engine import build_engine
 from ..scheduler.scheduler import TaskScheduler
 from ..scheduler.strategies import StrategyBehaviour, strategy_behaviour
 from ..scheduler.tasks import Task, TaskKind
@@ -156,16 +155,8 @@ class ExplorationSession:
         self.config = config
         self.cost_model = cost_model if cost_model is not None else CostModel()
 
-        engine = build_engine(
-            config.scheduler.engine,
-            num_workers=config.scheduler.num_workers,
-            time_scale=config.scheduler.time_scale,
-        )
-        self.scheduler = TaskScheduler(engine=engine)
+        self.scheduler = TaskScheduler()
         self.clock = self.scheduler.clock
-        shard_pool = engine.shard_executor()
-        if shard_pool is not None:
-            feature_manager.set_shard_executor(shard_pool)
         self.behaviour: StrategyBehaviour = strategy_behaviour(config.scheduler)
         self.sampler: ClipSampler = feature_manager.sampler
 
@@ -185,12 +176,12 @@ class ExplorationSession:
         self._round_expected: set[str] = set()
         self._eager_cursor = 0
         self._eager_videos_done = 0
-        # Videos handed to eager tasks that have not completed yet.  With the
-        # thread-pool engine the factory is consulted while earlier eager
-        # tasks are still running on other workers; without this set every
-        # worker would be handed the same "fresh" batch.  Serial engines never
-        # observe it non-empty at factory time (an unfinished eager task sits
-        # in the queue and is popped before the factory is asked).
+        # Videos handed to eager tasks that have not completed yet.  An
+        # unfinished eager task sits in the queue and is popped before the
+        # factory is asked, so the factory finds no video of a queued task
+        # here; snapshots carry the set all the same.  ``_eager_lock`` keeps
+        # the batch choice and the bookkeeping that claims it atomic for
+        # callers sharing the session across threads.
         self._eager_inflight: dict[str, set[int]] = {}
         self._eager_lock = threading.Lock()
 
@@ -218,7 +209,7 @@ class ExplorationSession:
             self.telemetry_run = telemetry.start_run(
                 trace_dir=config.telemetry.trace_dir,
                 slo_budget_s=config.telemetry.visible_latency_slo_s,
-                label=f"explore-{config.scheduler.strategy}-{config.scheduler.engine}",
+                label=f"explore-{config.scheduler.strategy}",
             )
             logger.info(
                 "telemetry run started (trace_dir=%s, slo=%s)",
@@ -228,17 +219,14 @@ class ExplorationSession:
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release execution-engine resources (worker threads, if any).
+        """Release the session's journal and telemetry run.
 
-        A no-op for the simulated engine; for the thread-pool engine it joins
-        the worker and shard pools.  Safe to call more than once.  When
-        durable checkpointing is on, pending journal records are committed
-        before the journal handle is released.  Dropping the scheduler's
-        idle-task factory (a bound method of this session) cuts the graph's
-        only reference cycle, so a closed session is freed by reference
-        counting alone.
+        Safe to call more than once.  When durable checkpointing is on,
+        pending journal records are committed before the journal handle is
+        released.  Dropping the scheduler's idle-task factory (a bound method
+        of this session) cuts the graph's only reference cycle, so a closed
+        session is freed by reference counting alone.
         """
-        self.scheduler.shutdown()
         self.scheduler.idle_task_factory = None
         if self.durability is not None:
             self.durability.commit()
@@ -455,8 +443,8 @@ class ExplorationSession:
                 self._iteration_span.end()
             # Manual span spanning explore + the labeling window; ended in
             # finish_iteration.  Tasks created meanwhile capture it as their
-            # parent, so worker-executed background work nests under the
-            # iteration that enqueued it.
+            # parent, so background work that runs in a later window still
+            # nests under the iteration that enqueued it.
             self._iteration_span = telemetry.start_span(
                 "iteration", "session", iteration=self._iteration
             )
@@ -595,11 +583,6 @@ class ExplorationSession:
                 "durable checkpointing is not enabled; set "
                 "SchedulerConfig.checkpoint_dir (CLI: --checkpoint-dir)"
             )
-        if self.scheduler.engine.name != "simulated":
-            raise CheckpointError(
-                "checkpoint/resume requires the deterministic simulated engine; "
-                f"this session runs {self.scheduler.engine.name!r}"
-            )
         return self.durability
 
     def checkpoint(self) -> int:
@@ -607,7 +590,7 @@ class ExplorationSession:
 
         Captures the full session state — stores, registered models,
         warm-start caches, bandit, RNGs, scheduler clock/queue/records — so
-        :meth:`resume` continues bit-identically on the simulated engine.
+        :meth:`resume` continues bit-identically.
         Requires the current iteration to be finished.  Old generations are
         garbage-collected.  Returns the published generation number.
         """
@@ -887,31 +870,25 @@ class ExplorationSession:
         batch_limit = self.config.scheduler.eager_batch_size
         if limit is not None:
             batch_limit = min(batch_limit, limit - self._eager_videos_done)
-        with self.features.reserve(blocking=False) as acquired:
-            if not acquired:
-                # A worker holds the feature-manager lock for an in-flight
-                # extraction; decline rather than stall the dispatcher —
-                # it will ask again on its next pass.
+        with self.features.reserve(), self._eager_lock:
+            processed_by_feature = {
+                feature: set(self.features.vids_with_features(feature))
+                | self._eager_inflight.setdefault(feature, set())
+                for feature in candidates
+            }
+            for feature in sorted(candidates, key=lambda f: len(processed_by_feature[f])):
+                processed = processed_by_feature[feature]
+                fresh = [
+                    vid for vid in all_vids if vid not in processed and vid not in labeled
+                ]
+                if fresh:
+                    batch = fresh[:batch_limit]
+                    feature_for_batch = feature
+                    break
+            if not batch or feature_for_batch is None:
                 return None
-            with self._eager_lock:
-                processed_by_feature = {
-                    feature: set(self.features.vids_with_features(feature))
-                    | self._eager_inflight.setdefault(feature, set())
-                    for feature in candidates
-                }
-                for feature in sorted(candidates, key=lambda f: len(processed_by_feature[f])):
-                    processed = processed_by_feature[feature]
-                    fresh = [
-                        vid for vid in all_vids if vid not in processed and vid not in labeled
-                    ]
-                    if fresh:
-                        batch = fresh[:batch_limit]
-                        feature_for_batch = feature
-                        break
-                if not batch or feature_for_batch is None:
-                    return None
-                self._eager_inflight[feature_for_batch].update(batch)
-                self._eager_videos_done += len(batch)
+            self._eager_inflight[feature_for_batch].update(batch)
+            self._eager_videos_done += len(batch)
 
         spec = self.features.extractor(feature_for_batch).spec
         duration = self.cost_model.extraction_batch_time(

@@ -68,12 +68,6 @@ class RunnerConfig:
     #: matrices, fold-reuse cross-validation); False restores the original
     #: cold-start training paths.
     warm_start: bool = True
-    #: Execution backend: "simulated" (deterministic) or "threads" (real pool).
-    engine: str = "simulated"
-    #: Worker-pool size for the "threads" engine.
-    num_workers: int = 4
-    #: Wall seconds per cost-model second on the "threads" engine.
-    time_scale: float = 1.0
     #: Durable-checkpoint directory (None disables journaling/snapshots).
     checkpoint_dir: str | None = None
     #: Automatic snapshot every N finished steps (0 = never).
@@ -167,7 +161,7 @@ class SessionRunner:
         return {}
 
     def close(self) -> None:
-        """Release the session's execution engine (worker threads, if any)."""
+        """Close the session: commit its journal and end its telemetry run."""
         self.vocal.close()
 
     # ------------------------------------------------------------------- build
@@ -182,9 +176,6 @@ class SessionRunner:
             scheduler=SchedulerConfig(
                 strategy=cfg.strategy,
                 user_labeling_time=cfg.user_labeling_time,
-                engine=cfg.engine,
-                num_workers=cfg.num_workers,
-                time_scale=cfg.time_scale,
                 checkpoint_dir=cfg.checkpoint_dir,
                 checkpoint_every=cfg.checkpoint_every,
             ),

@@ -15,10 +15,9 @@ charge the corresponding simulated latency.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,8 +62,10 @@ class FeatureManager:
         self.sampler = sampler if sampler is not None else ClipSampler()
         self._videos = video_store
         self._pipeline = FeatureExtractionPipeline(decoder)
-        # Serialises extraction bookkeeping when background tasks run on a
-        # real worker pool; reentrant because ensure_* methods call _extract.
+        # Serialises extraction bookkeeping and store reads for callers that
+        # share one session across threads (the scheduler itself runs every
+        # task on the calling thread); reentrant because ensure_* methods
+        # call _extract and callers of reserve() call ensure_* under it.
         self._lock = threading.RLock()
 
     # ---------------------------------------------------------------- plumbing
@@ -72,31 +73,14 @@ class FeatureManager:
         """Return the registered extractor called ``name``."""
         return self.registry.get(name)
 
-    @contextmanager
-    def reserve(self, blocking: bool = True) -> Iterator[bool]:
-        """Acquire the manager lock, optionally without blocking.
+    def reserve(self) -> AbstractContextManager:
+        """The manager lock, for a caller that reads the store across calls.
 
-        Yields whether the lock was acquired.  The scheduler's dispatcher
-        thread uses ``blocking=False`` from the eager-task factory so that a
-        worker holding the lock for a long extraction never stalls task
-        dispatch or window preemption.
+        Use it as ``with features.reserve():`` to keep another thread's
+        extraction from writing between a consistency check and the read
+        that relies on it.
         """
-        acquired = self._lock.acquire(blocking)
-        try:
-            yield acquired
-        finally:
-            if acquired:
-                self._lock.release()
-
-    def set_shard_executor(self, executor: Executor | None) -> None:
-        """Enable data-parallel extraction shards on ``executor``.
-
-        Called by sessions running the thread-pool execution engine; the
-        pipeline then splits each extraction batch across the pool (the pure
-        decode+extract work runs concurrently, store writes stay serialised
-        behind the manager's lock).
-        """
-        self._pipeline.set_executor(executor)
+        return self._lock
 
     # -------------------------------------------------------------- extraction
     def ensure_clip_features(self, fid: str, clips: Sequence[ClipSpec]) -> ExtractionReport:
@@ -178,9 +162,8 @@ class FeatureManager:
             )
 
     # ------------------------------------------------------------------ access
-    # Reads also take the manager lock: with the thread-pool engine, eager
-    # extraction writes into the store from worker threads while evaluation
-    # tasks (and the dispatcher's eager-task factory) read from it.
+    # Reads also take the manager lock, so a read never sees a store that
+    # another thread's extraction has half written.
     def matrix(self, fid: str, clips: Sequence[ClipSpec]) -> np.ndarray:
         """Stacked feature matrix for ``clips`` (extracting any that are missing)."""
         with self._lock:

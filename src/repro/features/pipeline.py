@@ -12,16 +12,11 @@ the last chunk: eager extraction hands every candidate feature the same
 windows in turn, so the next batch usually asks for the same clips and reuses
 their frames instead of decoding them again.  Decoding is deterministic per
 clip, so reuse never changes a vector.
-
-When an executor is attached (by the thread-pool execution engine), each
-decoded chunk is split into shards that extract in parallel; results are
-gathered in submission order, so the output is identical to the serial path.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,8 +39,6 @@ class PipelineStats:
     pipelines_created: int = 0
     clips_processed: int = 0
     clips_by_extractor: dict[str, int] = field(default_factory=dict)
-    #: Number of batches that were split across parallel shards.
-    parallel_batches: int = 0
 
     def record_batch(self, extractor_name: str, batch_size: int) -> None:
         """Count one pipeline setup processing ``batch_size`` clips."""
@@ -59,31 +52,18 @@ class PipelineStats:
 class FeatureExtractionPipeline:
     """Decode clips and run one extractor over them, batch by batch."""
 
-    #: Minimum clips per shard when a batch is split across the executor;
-    #: tiny shards would drown the extraction work in dispatch overhead.
-    MIN_SHARD_SIZE = 8
     #: Most clips decoded at once.  Bounds the frames in memory on
     #: corpus-wide batches (128 windows of 32 frames are about 2 MB) and is
     #: above the eager tasks' usual batch of ten videos' windows (100).
     DECODE_CHUNK = 128
 
-    def __init__(self, decoder: Decoder, executor: Executor | None = None) -> None:
+    def __init__(self, decoder: Decoder) -> None:
         self._decoder = decoder
-        self._executor = executor
         self.stats = PipelineStats()
         # Decoded frames of the last decoded chunk, by requested clip.  Read
-        # and replaced in run() (the FeatureManager holds its lock around
-        # the call); a racing call could at worst reuse another batch's
-        # frames, which are the same bytes.
+        # and replaced in run(), which the FeatureManager calls under its
+        # lock, so two threads sharing a session never interleave here.
         self._last_decoded: dict[ClipSpec, DecodedClip] = {}
-
-    def set_executor(self, executor: Executor | None) -> None:
-        """Attach (or detach) an executor for data-parallel shard extraction.
-
-        The thread-pool execution engine passes its dedicated shard pool here;
-        the simulated engine leaves the pipeline serial.
-        """
-        self._executor = executor
 
     def run(
         self,
@@ -99,9 +79,8 @@ class FeatureExtractionPipeline:
         clips (the prototype uses batches of ten videos) to amortise the
         setup cost the same way the paper does.  Each chunk of up to
         ``DECODE_CHUNK`` clips is decoded first (reusing the previous
-        chunk's frames for repeated clips); with an executor attached, its
-        extraction is then sharded and run in parallel.  Rows are ordered
-        like ``clips`` either way.
+        chunk's frames for repeated clips), then extracted.  Rows are ordered
+        like ``clips``.
         """
         if not clips:
             return [], np.empty((0, extractor.dim))
@@ -112,22 +91,15 @@ class FeatureExtractionPipeline:
             metric="features.batch_seconds",
             extractor=extractor.name,
             clips=len(clips),
-        ) as span:
+        ):
             telemetry.counter("features.clips_processed").add(len(clips))
             telemetry.counter("features.pipelines_created").add(1)
-            sharded = self._executor is not None and len(clips) >= 2 * self.MIN_SHARD_SIZE
-            if sharded:
-                span.set_attribute("sharded", True)
-                self.stats.parallel_batches += 1
             decoded_clips: list[ClipSpec] = []
             matrices: list[np.ndarray] = []
             for begin in range(0, len(clips), self.DECODE_CHUNK):
                 decoded = self._decode(clips[begin : begin + self.DECODE_CHUNK])
                 decoded_clips.extend(item.clip for item in decoded)
-                if sharded:
-                    matrices.append(self._run_sharded(extractor, decoded))
-                else:
-                    matrices.append(extractor.extract_batch(decoded))
+                matrices.append(extractor.extract_batch(decoded))
             return decoded_clips, matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
 
     def _decode(self, clips: Sequence[ClipSpec]) -> list[DecodedClip]:
@@ -138,10 +110,3 @@ class FeatureExtractionPipeline:
         decoded = [fresh[clip] if clip in fresh else previous[clip] for clip in clips]
         self._last_decoded = dict(zip(clips, decoded))
         return decoded
-
-    def _run_sharded(self, extractor: FeatureExtractor, decoded: list[DecodedClip]) -> np.ndarray:
-        """Split one decoded chunk into shards and extract them on the executor."""
-        shard_size = max(self.MIN_SHARD_SIZE, -(-len(decoded) // 8))
-        shards = [decoded[i : i + shard_size] for i in range(0, len(decoded), shard_size)]
-        futures = [self._executor.submit(extractor.extract_batch, shard) for shard in shards]
-        return np.concatenate([future.result() for future in futures])  # in clip order

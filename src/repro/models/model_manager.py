@@ -157,13 +157,11 @@ class ModelManager:
         self.config = config if config is not None else ModelConfig()
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        # Feature-evaluation tasks can run concurrently on the thread-pool
-        # execution engine's workers; the shared generator, the design-matrix
-        # cache, and the CV caches below are not thread-safe on their own.
-        # One wide lock serialises whole cross-validation rounds — the same
-        # tradeoff the pre-incremental code made for the shared RNG — which
-        # keeps the cache transitions trivially atomic; per-feature locking
-        # is the known next step if T_e parallelism ever dominates.
+        # The shared generator, the design-matrix cache, and the CV caches
+        # below are not thread-safe on their own, and a session's managers
+        # may be called from more than one thread.  One wide lock serialises
+        # whole cross-validation rounds, which keeps the cache transitions
+        # trivially atomic.
         self._rng_lock = threading.Lock()
         #: Incremental-training state, all guarded by ``_rng_lock``:
         self._design_cache: dict[str, _DesignCache] = {}
@@ -236,13 +234,13 @@ class ModelManager:
            some cached clip's nearest-window resolution.
 
         The feature manager's lock is held across extract + resolve + gather
-        so concurrent eager-extraction workers cannot slip writes between the
+        so extraction on another thread cannot slip writes between the
         consistency check and the gather.  The entry's ``label_revision`` is
         always derived from the labels actually read (revisions tick once per
         label, so it equals the cached row count), never from a revision
-        sampled before the read — the foreground loop may append labels while
-        a worker extends the cache, and a stale sampled revision would make
-        the next extension re-append the same rows.
+        sampled before the read — another thread may append labels while the
+        cache is extended, and a stale sampled revision would make the next
+        extension re-append the same rows.
         """
         entry = self._design_cache.get(feature_name)
         store = self.feature_manager.store

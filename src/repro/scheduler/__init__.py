@@ -1,16 +1,8 @@
 """Task Scheduler subsystem: clock, cost model, tasks, priority scheduler,
-strategies, and pluggable execution engines (simulated / thread pool)."""
+and strategies."""
 
 from .clock import SimulatedClock
 from .cost_model import CostModel
-from .engine import (
-    ENGINE_NAMES,
-    ExecutionEngine,
-    SimulatedEngine,
-    ThreadPoolEngine,
-    WallClock,
-    build_engine,
-)
 from .scheduler import IterationLatency, TaskScheduler
 from .strategies import SERIAL, VE_FULL, VE_PARTIAL, StrategyBehaviour, strategy_behaviour
 from .tasks import CompletedTask, Task, TaskKind, TaskPriority
@@ -29,10 +21,4 @@ __all__ = [
     "SERIAL",
     "VE_PARTIAL",
     "VE_FULL",
-    "ExecutionEngine",
-    "SimulatedEngine",
-    "ThreadPoolEngine",
-    "WallClock",
-    "build_engine",
-    "ENGINE_NAMES",
 ]

@@ -13,11 +13,12 @@ the background queue is empty and window time remains, the scheduler asks the
 factory for a new lowest-priority task (eager feature extraction over a batch
 of unlabeled videos).
 
-*Execution* is pluggable (see :mod:`repro.scheduler.engine`): the scheduler
-decides which task runs next and keeps the latency records, while an
-:class:`~repro.scheduler.engine.ExecutionEngine` decides how a chosen task
-consumes time — advancing a simulated clock (the deterministic default) or
-occupying real worker threads (:class:`~repro.scheduler.engine.ThreadPoolEngine`).
+Execution is discrete-event: a task's cost advances the scheduler's
+:class:`~repro.scheduler.clock.SimulatedClock` instead of occupying real
+time, so a session with hours of simulated extraction runs in milliseconds
+and is deterministic on any hardware.  The accounting order is pinned: every
+float addition happens in the same sequence, which the golden digest test
+(``tests/integration/test_golden_digest.py``) checks.
 
 See ``docs/SCHEDULER.md`` for the full task model and window-accounting
 walkthrough.
@@ -33,7 +34,6 @@ from typing import Callable
 from .. import telemetry
 from ..exceptions import SchedulerError
 from .clock import SimulatedClock
-from .engine import ExecutionEngine, SimulatedEngine
 from .tasks import CompletedTask, Task
 
 __all__ = ["IterationLatency", "TaskScheduler"]
@@ -43,15 +43,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class IterationLatency:
-    """Latency accounting for one Explore iteration.
+    """Latency accounting for one Explore iteration, in simulated seconds.
 
-    Under the simulated engine all fields are simulated seconds.  Under the
-    thread-pool engine ``visible_latency`` is measured wall-clock time (in
-    cost-model seconds), while background fields count *consumed task cost*:
-    ``background_time_used`` sums the cost-units workers performed — it may
-    exceed the window length, which is the concurrency surplus of multiple
-    workers — and ``background_idle_time`` is the unused worker capacity
-    (``num_workers x window - busy``).
+    ``background_time_used`` and ``background_idle_time`` split the labeling
+    windows that ran while the record was open: the scheduler has one
+    resource, so each window's busy and idle time sum to its length.
     """
 
     iteration: int
@@ -67,23 +63,16 @@ class IterationLatency:
 
 
 class TaskScheduler:
-    """Priority scheduler dispatching tasks to a pluggable execution engine."""
+    """Priority scheduler running tasks on one simulated resource."""
 
-    def __init__(
-        self,
-        clock: SimulatedClock | None = None,
-        engine: ExecutionEngine | None = None,
-    ) -> None:
+    def __init__(self, clock: SimulatedClock | None = None) -> None:
         """Build a scheduler.
 
         Args:
-            clock: Simulated clock for the default engine; ignored when an
-                explicit ``engine`` is given (the engine owns its clock).
-            engine: Execution backend; defaults to a bit-identical
-                :class:`~repro.scheduler.engine.SimulatedEngine`.
+            clock: Simulated clock to advance; defaults to a fresh one
+                starting at zero (tests pass one to share it).
         """
-        self.engine = engine if engine is not None else SimulatedEngine(clock)
-        self.clock = self.engine.clock
+        self.clock = clock if clock is not None else SimulatedClock()
         self._queue: list[tuple[int, int, Task]] = []
         self._completed: list[CompletedTask] = []
         self._iterations: list[IterationLatency] = []
@@ -170,7 +159,13 @@ class TaskScheduler:
         if self.preemption_gate is not None:
             self.preemption_gate()
         self._ensure_open_record()
-        return self.engine.run_foreground(self, task)
+        with telemetry.task_scope(task, "foreground"):
+            task.work(task.remaining)
+            self.clock.advance(task.duration)
+            record = task.complete(self.clock.now)
+        self._log_completion(record)
+        self._record_visible(task.kind, task.duration)
+        return record
 
     # ------------------------------------------------------------- background
     def submit(self, task: Task, available_at: float | None = None) -> None:
@@ -220,41 +215,100 @@ class TaskScheduler:
         Unfinished tasks keep their remaining work for future windows.  When
         the queue is empty and an idle-task factory is installed, the factory
         supplies additional lowest-priority work (eager feature extraction).
+        Between deferred tasks the resource idles; the task still running
+        when the window closes is preempted with its remaining work kept.
         """
         if duration < 0:
             raise SchedulerError(f"window duration must be >= 0, got {duration}")
         self._ensure_open_record()
-        return self.engine.run_window(self, duration)
+        window_start = self.clock.now
+        window_end = window_start + duration
+        completed: list[CompletedTask] = []
+
+        while self.clock.now < window_end - 1e-9:
+            task = self._pop_available(self.clock.now)
+            if task is None:
+                next_time = self._next_available_time()
+                if next_time is not None and next_time < window_end:
+                    # Idle until the next deferred task becomes available.
+                    idle = next_time - self.clock.now
+                    if self.idle_task_factory is not None:
+                        task = self.idle_task_factory()
+                        if task is None:
+                            self._record_idle(idle)
+                            self.clock.advance_to(next_time)
+                            continue
+                    else:
+                        self._record_idle(idle)
+                        self.clock.advance_to(next_time)
+                        continue
+                else:
+                    if self.idle_task_factory is not None:
+                        task = self.idle_task_factory()
+                    if task is None:
+                        self._record_idle(window_end - self.clock.now)
+                        break
+
+            available = window_end - self.clock.now
+            with telemetry.task_scope(task, "window"):
+                used = task.work(available)
+                self.clock.advance(used)
+                self._record_background(used, task.kind)
+                if task.finished:
+                    record = task.complete(self.clock.now)
+                    self._log_completion(record)
+                    completed.append(record)
+                else:
+                    # Out of window time: requeue with remaining work preserved.
+                    self._requeue(task)
+                    break
+
+        self.clock.advance_to(window_end)
+        return completed
 
     def drain(self, time_limit: float | None = None) -> list[CompletedTask]:
         """Run all queued background work to completion (or until ``time_limit`` seconds).
 
         Used by the serial strategy, which finishes every task before
         returning control to the user, so the time counts as visible latency.
-
-        ``time_limit`` is a budget of *consumed task cost* on the simulated
-        engine (the single resource makes cost and elapsed time identical)
-        but an *elapsed-time* deadline on the thread-pool engine, where
-        ``num_workers`` workers can consume up to that many times the budget
-        in cost-units before it expires.
+        ``time_limit`` is a budget of consumed task cost, which on the single
+        resource equals elapsed simulated time.
         """
         if self._queue:
             self._ensure_open_record()
-        return self.engine.drain(self, time_limit)
-
-    def shutdown(self) -> None:
-        """Release engine resources (worker threads, if any)."""
-        self.engine.shutdown()
+        completed: list[CompletedTask] = []
+        budget = float("inf") if time_limit is None else float(time_limit)
+        while self._queue and budget > 1e-9:
+            task = self._pop_available(self.clock.now)
+            if task is None:
+                next_time = self._next_available_time()
+                if next_time is None:
+                    break
+                self.clock.advance_to(next_time)
+                continue
+            with telemetry.task_scope(task, "drain"):
+                used = task.work(min(task.remaining, budget))
+                budget -= used
+                self.clock.advance(used)
+                self._record_visible(task.kind, used)
+                if task.finished:
+                    record = task.complete(self.clock.now)
+                    self._log_completion(record)
+                    completed.append(record)
+                else:
+                    self._requeue(task)
+                    break
+        return completed
 
     # -------------------------------------------------------------- accounting
     # The three helpers below are the only mutation points for latency
-    # records; engines must route every charge through them so each unit of
-    # window time lands in exactly one bucket of exactly one record.
+    # records; every charge goes through them so each unit of window time
+    # lands in exactly one bucket of exactly one record.
     def _record_background(self, duration: float, kind: str | None = None) -> None:
         """Charge background busy time to the open record.
 
         ``kind`` attributes the charge to a task kind in the telemetry
-        metrics (engines pass the executed task's kind); the latency record
+        metrics (the executed task's kind); the latency record
         itself keeps its historical shape.
         """
         if self._current is not None:

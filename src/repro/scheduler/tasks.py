@@ -71,21 +71,13 @@ class Task:
 
     The ``action`` callable performs the task's side effect (e.g. register a
     trained model) and receives the completion timestamp; it runs exactly
-    once, when the task finishes.  Durations come from the cost model.  How
-    the duration is consumed depends on the execution engine: the simulated
-    engine advances a virtual clock, while the thread-pool engine occupies a
-    worker for the scaled wall time — or, when ``payload`` is set, performs
-    real work in cost-unit slices between preemption checkpoints.
+    once, when the task finishes.  Durations come from the cost model, and
+    the scheduler consumes them by advancing its simulated clock.
     """
 
     kind: str
     duration: float
     action: Callable[[float], None] | None = None
-    #: Optional real work hook for the thread-pool engine: called as
-    #: ``payload(slice_units)`` once per checkpoint slice to perform the work
-    #: corresponding to ``slice_units`` cost-model seconds.  ``None`` means
-    #: the engine models the cost as a blocking (GPU/IO-style) stall.
-    payload: Callable[[float], None] | None = None
     #: Declarative description of ``action`` for durable checkpoints: a
     #: JSON-serialisable dict from which the session can re-materialise the
     #: closure after a resume (``repro.core.checkpoint``).  Tasks queued in
@@ -96,11 +88,11 @@ class Task:
     description: str = ""
     available_at: float = 0.0
     task_id: int = field(default_factory=lambda: next(_task_counter))
-    #: Span active when the task was created, captured so execution engines
-    #: can parent the task's span to the iteration that enqueued it — even
-    #: when the task later runs on a worker thread (or came from the
-    #: idle-task factory, which bypasses ``scheduler.submit``).  None while
-    #: telemetry is disabled.
+    #: Span active when the task was created, captured so the scheduler can
+    #: parent the task's span to the iteration that enqueued it — even when
+    #: the task runs windows later (or came from the idle-task factory,
+    #: which bypasses ``scheduler.submit``).  None while telemetry is
+    #: disabled.
     trace_context: object | None = field(default=None, repr=False)
     remaining: float = field(init=False)
 

@@ -67,9 +67,9 @@ class CorpusSessionFactory:
     and feature-quality map, but receives private stores and a private,
     name-derived seed, so two sessions with the same request script still
     explore independently.  The factory forces the configuration invariants
-    eviction depends on: the deterministic simulated engine, a per-session
-    checkpoint directory under ``root``, and telemetry off (sessions share
-    the process, and the telemetry facade is process-global).
+    eviction depends on: a per-session checkpoint directory under ``root``,
+    no automatic snapshots, and telemetry off (sessions share the process,
+    and the telemetry facade is process-global).
     """
 
     def __init__(
@@ -88,7 +88,7 @@ class CorpusSessionFactory:
             root: Directory holding one subdirectory per session (its
                 durable checkpoint state).
             config: Base configuration applied to every session; the
-                scheduler section's engine/checkpoint fields are overridden
+                scheduler section's checkpoint fields are overridden
                 per session.  Must not request a telemetry run.
             base_seed: Folded with the session name into each session's seed.
             candidate_features: Candidate extractors per session (None = all).
@@ -144,7 +144,6 @@ class CorpusSessionFactory:
         config = self.config.with_updates(
             scheduler=replace(
                 self.config.scheduler,
-                engine="simulated",
                 checkpoint_dir=str(checkpoint_dir),
                 checkpoint_every=0,
             ),

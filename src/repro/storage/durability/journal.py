@@ -57,9 +57,9 @@ class JournalWriter:
         self.path = Path(path)
         self._pending: list[bytes] = []
         self._handle = None
-        # Background actions can journal from the thread-pool engine's
-        # workers while the main thread commits; stage and drain must be
-        # atomic or a record appended mid-commit would be cleared unwritten.
+        # One thread may journal a write while another commits; stage and
+        # drain must be atomic or a record appended mid-commit would be
+        # cleared unwritten.
         self._lock = threading.Lock()
 
     @property

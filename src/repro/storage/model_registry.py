@@ -56,8 +56,8 @@ class ModelRegistry:
         self._latest_by_feature: dict[str, int] = {}
         self._versions_by_feature: dict[str, int] = {}
         self._next_id = 0
-        # Training actions can complete concurrently on the thread-pool
-        # execution engine's workers; id allocation must stay atomic.
+        # Id allocation must stay atomic when threads sharing a session
+        # register models at once.
         self._lock = threading.Lock()
         #: Optional write-ahead sink (``repro.storage.durability``): every
         #: registration is journaled with the model's parameters, keyed by

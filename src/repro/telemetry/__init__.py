@@ -5,9 +5,9 @@ paper's north-star metric — user-visible latency per Explore iteration —
 measurable from outside the process.  It has three parts:
 
 * **Tracing** (:mod:`.tracing`): ``Span`` context managers with monotonic
-  timings, attributes, and parent/child nesting, propagated across
-  ``ThreadPoolEngine`` workers so background extraction nests under the
-  iteration that enqueued it.
+  timings, attributes, and parent/child nesting.  A scheduler task carries
+  the span it was created under, so background extraction that runs in a
+  later labeling window still nests under the iteration that enqueued it.
 * **Metrics** (:mod:`.metrics`): named counters, gauges, and fixed-bucket
   histograms (p50/p95/p99) for the hot paths — design-matrix cache outcomes,
   warm vs. cold fits, index search latency, journal fsync and snapshot
@@ -165,10 +165,10 @@ def current_span() -> Span | None:
 
 
 def capture_context() -> Span | None:
-    """Snapshot the active span for later re-activation on another thread.
+    """Snapshot the active span for later re-activation.
 
-    Tasks call this at creation time so the execution engines can parent a
-    worker-executed task's span to the iteration that created the task.
+    Tasks call this at creation time so the scheduler can parent a task's
+    span to the iteration that created the task, whenever the task runs.
     """
     if _runtime._ACTIVE is None:
         return None
@@ -178,7 +178,7 @@ def capture_context() -> Span | None:
 def activate(context: Span | None):
     """Context manager installing a captured span as the active parent.
 
-    ``activate(None)`` explicitly clears the context (isolating a worker from
+    ``activate(None)`` explicitly clears the context (isolating a thread from
     leftovers); when telemetry is disabled the shared null span is returned.
     """
     run = _runtime._ACTIVE
@@ -188,7 +188,7 @@ def activate(context: Span | None):
 
 
 def task_scope(task, phase: str):
-    """Execution scope for one scheduler task slice (engines' entry point).
+    """Execution scope for one scheduler task slice.
 
     Re-activates ``task.trace_context`` and opens a ``task:<kind>`` span in
     the ``scheduler`` category; a shared no-op while disabled.

@@ -5,14 +5,14 @@ A :class:`Span` is one timed region of work.  Spans carry a name, a category
 attributes, and monotonic start/end timestamps from ``time.perf_counter``.
 They nest: the currently active span is tracked in a ``contextvars``
 ContextVar, so a span opened while another is active records it as its
-parent.  ContextVars are per-thread, which gives worker threads a clean
-slate; the execution engines explicitly carry a task's captured context into
-the worker (see :class:`TaskScope`) so background work still nests under the
+parent.  ContextVars are per-thread, which gives new threads a clean slate.
+The scheduler re-activates a task's captured context when the task runs
+(see :class:`TaskScope`), so background work still nests under the
 iteration that enqueued it.
 
-Spans never read or advance the scheduler's clocks and never touch any RNG,
-so enabling tracing cannot perturb the deterministic simulated-engine runs
-(the engine benchmark pins this with a golden hash).
+Spans never read or advance the scheduler's clock and never touch any RNG,
+so enabling tracing cannot perturb the deterministic simulated runs
+(``benchmarks/bench_telemetry.py`` pins this with the golden digest).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from contextvars import ContextVar
 __all__ = ["Span", "NullSpan", "NULL_SPAN", "Tracer", "TaskScope", "current_span"]
 
 #: The span currently active on this thread (None at top level).  ContextVars
-#: default to their initial value in every new thread, so worker threads do
-#: not inherit the dispatcher's span by accident.
+#: default to their initial value in every new thread, so a new thread does
+#: not inherit its creator's span by accident.
 _ACTIVE_SPAN: ContextVar["Span | None"] = ContextVar("repro_active_span", default=None)
 
 _span_ids = itertools.count(1)
@@ -207,9 +207,9 @@ class Tracer:
     def activate(self, span: Span | None) -> "_Activation":
         """Context manager making ``span`` the active parent on this thread.
 
-        Used by execution engines to re-establish a task's captured creation
-        context inside a worker thread (``span=None`` isolates the worker
-        from any leftover context instead).
+        Used to re-establish a captured creation context, e.g. a task's when
+        the scheduler runs it (``span=None`` isolates the thread from any
+        leftover context instead).
         """
         return _Activation(span)
 
@@ -246,7 +246,7 @@ class TaskScope:
     """Combined context for executing one scheduler task.
 
     Re-activates the context captured when the task was created (so the task
-    span parents to the iteration that enqueued it, even on a worker thread)
+    span parents to the iteration that enqueued it, even windows later)
     and opens a ``task:<kind>`` span in the ``scheduler`` category for the
     execution slice.
     """
@@ -278,6 +278,6 @@ class TaskScope:
         return self._span.__enter__()
 
     def __exit__(self, *exc_info) -> None:
-        """Close the task span, then restore the worker's previous context."""
+        """Close the task span, then restore the previous context."""
         self._span.__exit__(*exc_info)
         self._activation.__exit__(*exc_info)

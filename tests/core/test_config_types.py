@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.config import (
     ALMConfig,
     ExploreConfig,
@@ -13,7 +14,12 @@ from repro.config import (
     VocalExploreConfig,
 )
 from repro.exceptions import ConfigError, InvalidClipError
+from repro.experiments.runner import RunnerConfig
 from repro.types import ClipSpec, FeatureVector, Label, Prediction, VideoRecord, VideoSegment
+
+
+#: Execution-engine knobs that no longer exist, with a value each once accepted.
+REMOVED_ENGINE_FIELDS = [("engine", "threads"), ("num_workers", 4), ("time_scale", 0.01)]
 
 
 class TestConfigValidation:
@@ -56,17 +62,41 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SchedulerConfig(eager_batch_size=0)
 
-    def test_engine_settings(self):
-        config = SchedulerConfig(engine="threads", num_workers=2, time_scale=0.01)
-        assert config.engine == "threads"
-        assert config.num_workers == 2
-        assert SchedulerConfig().engine == "simulated"
-        with pytest.raises(ValueError):
-            SchedulerConfig(engine="greenlets")
-        with pytest.raises(ValueError):
-            SchedulerConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(time_scale=0.0)
+    def test_engine_inputs_are_refused(self, capsys):
+        # The scheduler has one execution path; the old engine knobs are
+        # not fields any more, whichever way they are given.
+        with pytest.raises(TypeError, match="engine"):
+            SchedulerConfig(engine="threads")
+        with pytest.raises(ConfigError, match=r"unknown scheduler config fields: \['engine'\]"):
+            VocalExploreConfig().with_updates(scheduler={"engine": "threads"})
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["explore", "--engine", "threads"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --engine threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", REMOVED_ENGINE_FIELDS)
+    def test_removed_scheduler_field_refused(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            SchedulerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", REMOVED_ENGINE_FIELDS)
+    def test_removed_scheduler_mapping_key_refused(self, name, value):
+        with pytest.raises(ConfigError, match=rf"unknown scheduler config fields: \['{name}'\]"):
+            VocalExploreConfig().with_updates(scheduler={name: value})
+
+    @pytest.mark.parametrize("name, value", REMOVED_ENGINE_FIELDS)
+    def test_removed_runner_field_refused(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            RunnerConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--engine", "threads"), ("--workers", "4"), ("--time-scale", "0.01")]
+    )
+    def test_removed_explore_flag_refused(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["explore", flag, value])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_invalid_model_and_explore_settings(self):
         with pytest.raises(ValueError):
@@ -100,15 +130,15 @@ class TestConfigValidation:
         )
         assert from_mapping == from_dataclasses
         assert isinstance(from_mapping.scheduler, SchedulerConfig)
-        assert from_mapping.scheduler.engine == "simulated"  # a default
+        assert from_mapping.scheduler.eager_batch_size == 10  # a default
         assert from_mapping.seed == 3
 
     def test_with_updates_mapping_with_unknown_field_names_its_section(self):
         with pytest.raises(ConfigError, match=r"unknown scheduler config fields: \['engines'\]"):
             VocalExploreConfig().with_updates(scheduler={"engines": "threads"})
         # Field values are still validated by the section itself.
-        with pytest.raises(ValueError, match="engine"):
-            VocalExploreConfig().with_updates(scheduler={"engine": "greenlets"})
+        with pytest.raises(ValueError, match="strategy"):
+            VocalExploreConfig().with_updates(scheduler={"strategy": "greenlets"})
 
 
 class TestVideoRecordAndClip:

@@ -81,7 +81,7 @@ def micro_dataset(seed: int = 3):
 def seeded_runner_config(checkpoint_dir: str, **overrides):
     """RunnerConfig for a tiny, deterministic checkpointed explore run.
 
-    Serial strategy on the simulated engine: every train/evaluate runs
+    Serial strategy on the simulated clock: every train/evaluate runs
     synchronously, so the workload is small enough to repeat once per
     injection point while still exercising labels, feature extraction,
     model registration, journal commits, and snapshots.

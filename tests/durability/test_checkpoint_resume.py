@@ -4,7 +4,7 @@ Three properties from the issue:
 
 * **Resumed == uninterrupted** — interrupting a seeded run and resuming it
   from the last checkpoint reproduces the uninterrupted run bit-identically
-  on the simulated engine: labels, model parameters, per-iteration latency
+  on the simulated clock: labels, model parameters, per-iteration latency
   records, and summaries.
 * **Snapshot + journal tail == whole state** — restoring the snapshot and
   replaying the journal tail reproduces the live stores exactly.
@@ -401,32 +401,6 @@ class TestCheckpointGuards:
             runner.vocal.checkpoint()
         runner.vocal.finish_iteration()
         runner.close()
-
-    def test_checkpoint_requires_simulated_engine(self, dataset, tmp_path):
-        runner = SessionRunner(
-            dataset,
-            run_config(
-                tmp_path / "ckpt",
-                engine="threads",
-                num_workers=2,
-                time_scale=1e-4,
-                checkpoint_every=0,  # journaling alone is engine-agnostic
-            ),
-        )
-        with pytest.raises(CheckpointError, match="simulated engine"):
-            runner.vocal.checkpoint()
-        runner.close()
-
-    def test_auto_checkpoint_on_threads_engine_rejected_at_construction(
-        self, dataset, tmp_path
-    ):
-        with pytest.raises(ValueError, match="simulated engine"):
-            SessionRunner(
-                dataset,
-                run_config(
-                    tmp_path / "ckpt", engine="threads", num_workers=2, time_scale=1e-4
-                ),
-            )
 
     def test_resume_with_wrong_seed_is_rejected(self, dataset, tmp_path):
         first = SessionRunner(dataset, run_config(tmp_path / "ckpt", num_steps=2))

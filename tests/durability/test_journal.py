@@ -57,8 +57,8 @@ class TestJournalRoundtrip:
 
 class TestConcurrency:
     def test_appends_during_commits_are_never_dropped(self, tmp_path):
-        """Thread-pool engine workers journal while the main thread commits;
-        a record staged mid-commit must land in some later commit."""
+        """Threads journal while the main thread commits; a record staged
+        mid-commit must land in some later commit."""
         import threading
 
         path = tmp_path / "journal.log"

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,21 +89,6 @@ class TestPipeline:
         # Only the last batch is kept: the first batch's clips decode again.
         pipeline.run(registry.get("r3d"), first[:1])
         assert decoded_clips[-1] == first[0]
-
-    def test_sharded_pipeline_returns_serial_bytes(self, setup):
-        corpus, __, registry, __ = setup
-        clips = [ClipSpec(v, start, start + 1.0) for v in range(12) for start in (0.0, 4.5)]
-        clips.append(ClipSpec(3, 9.6, 10.0))
-        serial = FeatureExtractionPipeline(Decoder(corpus))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            sharded = FeatureExtractionPipeline(Decoder(corpus), executor=pool)
-            for extractor in registry:
-                expected_clips, expected = serial.run(extractor, clips)
-                got_clips, got = sharded.run(extractor, clips)
-                assert got_clips == expected_clips
-                assert np.array_equal(got, expected)
-        assert sharded.stats.parallel_batches == len(registry)
-        assert serial.stats.parallel_batches == 0
 
     def test_concurrent_runs_on_one_pipeline_return_per_clip_bytes(self, setup):
         # Unlocked callers race on the last-chunk memo; any frames one run

@@ -233,7 +233,7 @@ class TestDesignCache:
 
         def racing_since(revision):
             tail = real_since(revision)
-            # Simulate the foreground loop appending while a worker extends.
+            # Simulate another thread appending while the cache extends.
             label_videos(storage, small_corpus, 1, start=12)
             return tail
 
