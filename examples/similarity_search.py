@@ -1,11 +1,11 @@
 """Similarity search: "find clips like this" over the feature store.
 
-This example builds the synthetic "deer" dataset and uses the new
-``VOCALExplore.search`` API to retrieve the clips most similar to a query
-clip.  It runs the same query through both vector-index backends
-(``exact`` — the brute-force oracle, and ``ivf-flat`` — inverted lists behind
-a k-means coarse quantizer) and prints how much simulated latency each search charged, illustrating the
-recall/latency trade-off the index subsystem exposes.
+This example builds the synthetic "deer" dataset and uses the
+``VOCALExplore.search`` API to retrieve the clips most similar to a query.
+A query is either a clip, whose feature is extracted on demand, or a raw
+feature vector.  Both run the same exact nearest-neighbour scan over every
+vector stored for the current extractor, and every search charges simulated
+T_s-style latency through the scheduler.
 
 Run with::
 
@@ -14,55 +14,43 @@ Run with::
 
 from __future__ import annotations
 
-from repro import IndexConfig, VOCALExplore, VocalExploreConfig
+from repro import VOCALExplore, VocalExploreConfig
 from repro.datasets import build_dataset
 
 
-def run_backend(dataset, backend: str, query, k: int = 5):
-    """Fresh session per backend so each run charges its own latency."""
-    config = VocalExploreConfig(seed=0).with_updates(index=IndexConfig(backend=backend))
-    vocal = VOCALExplore.for_dataset(dataset, config=config)
-    hits = vocal.search(query, k=k)
-    return vocal, hits
+def show(title: str, hits) -> None:
+    print(title)
+    for rank, hit in enumerate(hits, start=1):
+        print(
+            f"  {rank}. video {hit.vid:3d} [{hit.start:5.2f}s - {hit.end:5.2f}s] "
+            f"sq-distance {hit.distance:8.2f}"
+        )
+    print()
 
 
 def main() -> None:
     dataset = build_dataset("deer", seed=0)
+    vocal = VOCALExplore.for_dataset(dataset, config=VocalExploreConfig(seed=0))
     query = (dataset.train_corpus.vids()[0], 0.0, 1.0)
     print(
         f"Query: video {query[0]} [{query[1]:.1f}s, {query[2]:.1f}s] "
         f"of {dataset.name!r} ({len(dataset.train_corpus)} videos)\n"
     )
 
-    exact_hits = None
-    for backend in ("exact", "ivf-flat"):
-        vocal, hits = run_backend(dataset, backend, query)
-        if backend == "exact":
-            exact_hits = {(h.vid, h.start, h.end) for h in hits}
-            agreement = ""
-        else:
-            found = {(h.vid, h.start, h.end) for h in hits}
-            overlap = len(found & exact_hits) / max(1, len(exact_hits))
-            agreement = f"  (agrees with exact on {overlap:.0%} of hits)"
-        print(f"{backend} index — visible latency "
-              f"{vocal.cumulative_visible_latency():.2f}s{agreement}")
-        for rank, hit in enumerate(hits, start=1):
-            print(
-                f"  {rank}. video {hit.vid:3d} [{hit.start:5.2f}s - {hit.end:5.2f}s] "
-                f"sq-distance {hit.distance:8.2f}"
-            )
-        print()
+    # A clip query: the query clip itself is left out of its own results.
+    hits = vocal.search(query, k=5)
+    show(
+        f"clip query, {vocal.current_feature()} features — visible latency "
+        f"{vocal.cumulative_visible_latency():.2f}s",
+        hits,
+    )
 
-    # The search API also accepts a raw feature vector, e.g. a stored clip's
-    # own embedding — useful for "more like the clip I just labeled" loops.
-    vocal, __ = run_backend(dataset, "exact", query, k=3)
+    # A vector query, e.g. a stored clip's own embedding — useful for "more
+    # like the clip I just labeled" loops.  The clip itself ranks first.
     clips, vectors = vocal.session.storage.features.all_vectors(vocal.current_feature())
-    vector_hits = vocal.search(vectors[0], k=3)
-    print(f"vector query (embedding of {clips[0]}):")
-    for rank, hit in enumerate(vector_hits, start=1):
-        print(f"  {rank}. video {hit.vid:3d} [{hit.start:5.2f}s - {hit.end:5.2f}s] "
-              f"sq-distance {hit.distance:8.2f}")
-    print("\nEvery search charged T_s-style latency through the scheduler, so")
+    show(f"vector query (embedding of {clips[0]}):", vocal.search(vectors[0], k=3))
+
+    print("Every search charged T_s-style latency through the scheduler, so")
     print("similarity exploration is accounted like every other user-facing call.")
 
 

@@ -19,7 +19,6 @@ from .config import (
     ALMConfig,
     ExploreConfig,
     FeatureSelectionConfig,
-    IndexConfig,
     ModelConfig,
     SchedulerConfig,
     VocalExploreConfig,
@@ -53,7 +52,6 @@ __all__ = [
     "SchedulerConfig",
     "ModelConfig",
     "ExploreConfig",
-    "IndexConfig",
     "ReproError",
     "ClipSpec",
     "Label",

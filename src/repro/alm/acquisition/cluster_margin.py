@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...config import IndexConfig
 from ...exceptions import AcquisitionError
 from ...types import ClipSpec
 from ..clustering import kmeans
@@ -34,7 +33,6 @@ class ClusterMarginAcquisition(FeatureAcquisition):
         self,
         margin_pool_multiplier: float = 2.0,
         clusters_per_batch: int = 2,
-        index: IndexConfig = IndexConfig(),
     ) -> None:
         """Configure the method.
 
@@ -45,9 +43,6 @@ class ClusterMarginAcquisition(FeatureAcquisition):
                 (Citovsky et al. use substantially more clusters than the
                 batch size; the shortlist here is small so a small factor
                 suffices).
-            index: ``repro.index`` backend used by the k-means
-                nearest-centroid assignments (the exact default matches
-                brute force bit-for-bit).
         """
         if margin_pool_multiplier < 1.0:
             raise AcquisitionError("margin_pool_multiplier must be >= 1")
@@ -55,7 +50,6 @@ class ClusterMarginAcquisition(FeatureAcquisition):
             raise AcquisitionError("clusters_per_batch must be >= 1")
         self.margin_pool_multiplier = float(margin_pool_multiplier)
         self.clusters_per_batch = int(clusters_per_batch)
-        self.index = index
 
     def _margins(self, context: AcquisitionContext) -> np.ndarray:
         features = np.asarray(context.candidate_features, dtype=np.float64)
@@ -92,12 +86,7 @@ class ClusterMarginAcquisition(FeatureAcquisition):
         shortlist = np.argsort(margins, kind="stable")[:shortlist_size]
 
         num_clusters = min(len(shortlist), max(1, count * self.clusters_per_batch))
-        clustering = kmeans(
-            features[shortlist],
-            num_clusters,
-            rng=rng,
-            index=self.index,
-        )
+        clustering = kmeans(features[shortlist], num_clusters, rng=rng)
 
         # Round-robin across clusters, smallest cluster first (as in the paper
         # this ensures rare modes are represented in the batch).

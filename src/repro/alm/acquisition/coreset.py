@@ -5,19 +5,18 @@ Savarese (2018): repeatedly pick the candidate farthest from the set of
 already-covered points (labeled clips plus previously picked candidates).
 It is a density/diversity method — it needs features but no trained model.
 
-The labeled-distance initialisation routes through the ``repro.index``
-subsystem: a 1-NN search of every candidate against the labeled set replaces
-the seed's ``(n, L, d)`` difference tensor, so memory stays ``O(n + L)`` and
-an ANN backend can be substituted for very large pools.
+The labeled-distance initialisation is an exact 1-NN scan
+(``repro.index.ExactScan``) of every candidate against the labeled set, which
+replaces the seed's ``(n, L, d)`` difference tensor, so memory stays
+``O(n + L)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...config import IndexConfig
 from ...exceptions import AcquisitionError
-from ...index import make_index, pairwise_sq_distances
+from ...index import ExactScan
 from ...types import ClipSpec
 from .base import AcquisitionContext, FeatureAcquisition
 
@@ -29,20 +28,6 @@ class CoresetAcquisition(FeatureAcquisition):
 
     name = "coreset"
     requires_model = False
-
-    def __init__(self, index: IndexConfig = IndexConfig(), seed: int = 0) -> None:
-        """Configure the nearest-neighbour backend used for initialisation.
-
-        Args:
-            index: ``repro.index`` backend for the candidate-to-labeled 1-NN
-                search.  The exact default reproduces the brute-force
-                selections (distances agree with the difference-tensor
-                formulation to float rounding, so only degenerate sub-ulp
-                ties could differ).
-            seed: Seed for the backend's RNG (ANN backends only).
-        """
-        self.index = index
-        self.seed = int(seed)
 
     def select(
         self,
@@ -66,18 +51,11 @@ class CoresetAcquisition(FeatureAcquisition):
         chosen: list[int] = []
         count = min(count, len(candidates))
         if labeled.size:
-            index = make_index(self.index, seed=self.seed)
-            index.build(labeled)
-            nearest_sq, nearest = index.search(features, 1)
-            distances = nearest_sq[:, 0]
-            # An ANN backend can miss (inf sentinel), which would make the
-            # unreachable candidates look maximally far; patch misses with the
-            # exact kernel against the labeled set.
-            missed = nearest[:, 0] < 0
-            if missed.any():
-                distances = distances.copy()
-                distances[missed] = pairwise_sq_distances(features[missed], labeled).min(axis=1)
-            distances = np.sqrt(distances)
+            # The exact scan reproduces the seed's difference-tensor selections
+            # (distances agree to float rounding, so only degenerate sub-ulp
+            # ties could differ).
+            nearest_sq, __ = ExactScan(labeled).search(features, 1)
+            distances = np.sqrt(nearest_sq[:, 0])
         else:
             # With no labeled points yet, a random candidate seeds the batch and
             # becomes its first member.

@@ -6,19 +6,17 @@ prototype uses an off-the-shelf clustering routine; this module provides a
 small, dependency-free k-means (k-means++ initialisation, Lloyd iterations)
 sufficient for that purpose.
 
-All nearest-centroid math comes from the ``repro.index`` subsystem: the
-default exact path runs its shared norm-expansion kernel (bit-identical
-assignments, centroids, and inertia vs the seed implementation), while an
-``IndexConfig`` naming an ANN backend serves very large pools.
+Nearest-centroid assignment runs the shared norm-expansion kernel of
+:mod:`repro.index.distances` with the point norms hoisted out of the Lloyd
+loop (bit-identical assignments, centroids, and inertia vs the seed
+implementation).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import IndexConfig
 from ..exceptions import ALMError
-from ..index import make_index
 from ..index.distances import pairwise_sq_distances, squared_norms
 
 __all__ = ["KMeansResult", "kmeans"]
@@ -66,35 +64,15 @@ def _assign(
     points: np.ndarray,
     points_sq: np.ndarray,
     centroids: np.ndarray,
-    index: IndexConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(assignments, squared distance to the assigned centroid).
 
-    The default exact backend runs the index subsystem's distance kernel
-    directly with the hoisted point norms — exactly what ``ExactIndex`` would
-    compute, minus a per-iteration index build and norm recomputation.  ANN
-    backends build an index over the centroids; they may return the -1/inf
-    no-neighbour sentinel (e.g. an IVF query whose probed cells are all empty),
-    and every point must have an assignment, so misses fall back to the exact
-    kernel.
+    ``argmin`` keeps the first minimum, so ties go to the smaller centroid
+    index, as in the exact scan's ``k=1`` path.
     """
-    if index.backend == "exact":
-        sq = pairwise_sq_distances(points, centroids, points_sq=points_sq)
-        assignments = sq.argmin(axis=1)
-        return assignments, sq[np.arange(points.shape[0]), assignments]
-    ann = make_index(index)
-    ann.build(centroids)
-    sq, nearest = ann.search(points, 1)
-    assignments = nearest[:, 0].copy()
-    min_sq = sq[:, 0].copy()
-    missed = assignments < 0
-    if missed.any():
-        exact_sq = pairwise_sq_distances(
-            points[missed], centroids, points_sq=points_sq[missed]
-        )
-        assignments[missed] = exact_sq.argmin(axis=1)
-        min_sq[missed] = exact_sq[np.arange(exact_sq.shape[0]), assignments[missed]]
-    return assignments, min_sq
+    sq = pairwise_sq_distances(points, centroids, points_sq=points_sq)
+    assignments = sq.argmin(axis=1)
+    return assignments, sq[np.arange(points.shape[0]), assignments]
 
 
 def kmeans(
@@ -103,7 +81,6 @@ def kmeans(
     rng: np.random.Generator | None = None,
     max_iterations: int = 50,
     tolerance: float = 1e-6,
-    index: IndexConfig = IndexConfig(),
 ) -> KMeansResult:
     """Cluster ``points`` into ``num_clusters`` groups.
 
@@ -113,8 +90,6 @@ def kmeans(
         rng: Random generator used for initialisation.
         max_iterations: Maximum Lloyd iterations.
         tolerance: Stop when the centroid shift falls below this value.
-        index: ``repro.index`` backend used for nearest-centroid assignment
-            (the exact default reproduces the brute-force path bit-for-bit).
 
     Raises:
         ALMError: when ``points`` is empty or not 2-D.
@@ -130,7 +105,7 @@ def kmeans(
     centroids = _init_centroids(points, k, rng)
     assignments = np.zeros(n, dtype=np.int64)
     for __ in range(max_iterations):
-        assignments, min_sq = _assign(points, points_sq, centroids, index)
+        assignments, min_sq = _assign(points, points_sq, centroids)
         counts = np.bincount(assignments, minlength=k)
         sums = np.zeros_like(centroids)
         np.add.at(sums, assignments, points)
@@ -146,6 +121,6 @@ def kmeans(
         if shift < tolerance:
             break
 
-    assignments, final_sq = _assign(points, points_sq, centroids, index)
+    assignments, final_sq = _assign(points, points_sq, centroids)
     inertia = float(final_sq.sum())
     return KMeansResult(assignments=assignments, centroids=centroids, inertia=inertia)

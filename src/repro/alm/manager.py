@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import telemetry
-from ..config import ALMConfig, FeatureSelectionConfig, IndexConfig
+from ..config import ALMConfig, FeatureSelectionConfig
 from ..exceptions import AcquisitionError, InsufficientLabelsError
 from ..features.feature_manager import ExtractionReport, FeatureManager
 from ..models.model_manager import ModelManager
@@ -71,7 +71,6 @@ class ActiveLearningManager:
         alm_config: ALMConfig | None = None,
         selection_config: FeatureSelectionConfig | None = None,
         seed: int = 0,
-        index: IndexConfig = IndexConfig(),
     ) -> None:
         self.videos = video_store
         self.labels = label_store
@@ -86,8 +85,8 @@ class ActiveLearningManager:
         self.skew_detector = SkewDetector(self.config)
         self.bandit = RisingBanditSelector(candidate_features, self.selection_config)
         self._random = RandomAcquisition(feature_manager.sampler)
-        self._coreset = CoresetAcquisition(index=index, seed=seed)
-        self._cluster_margin = ClusterMarginAcquisition(index=index)
+        self._coreset = CoresetAcquisition()
+        self._cluster_margin = ClusterMarginAcquisition()
         self._rare_category = RareCategoryUncertaintyAcquisition()
         self._iteration = 0
         self._last_skew: SkewDecision | None = None

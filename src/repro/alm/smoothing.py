@@ -7,7 +7,7 @@ estimates with an EWMA whose span ``w`` gives ``alpha = 2 / (w + 1)``
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,13 +55,6 @@ class EWMASmoother:
         smoothed = self._numerator / self._denominator
         self._history.append(smoothed)
         return smoothed
-
-    def update_many(self, values: Iterable[float]) -> float:
-        """Add several observations; returns the final smoothed value."""
-        result = self.current
-        for value in values:
-            result = self.update(value)
-        return result
 
     @property
     def current(self) -> float:

@@ -7,7 +7,7 @@ Provides four subcommands:
   simulated oracle user on one of the catalog datasets and print the per-step
   F1 / latency trajectory.
 * ``repro-vocal search``   — "find clips like this": similarity search over
-  the feature store through a selectable vector-index backend.
+  the feature store by an exact nearest-neighbour scan.
 * ``repro-vocal experiment`` — regenerate one of the paper's tables or figures
   and print its rows.
 * ``repro-vocal report`` — render the telemetry report of a traced run
@@ -21,7 +21,7 @@ Example::
     python -m repro.cli explore --dataset k20-skew --steps 20 --strategy ve-full
     python -m repro.cli explore --dataset deer --trace-dir /tmp/trace --slo 5.0
     python -m repro.cli report --trace-dir /tmp/trace
-    python -m repro.cli search --dataset deer --vid 0 --start 0 --end 1 --backend ivf-flat
+    python -m repro.cli search --dataset deer --vid 0 --start 0 --end 1 -k 5
     python -m repro.cli experiment --name fig3 --dataset k20-skew --steps 10
     python -m repro.cli serve --dataset deer --root /tmp/sessions --max-resident 4
 """
@@ -128,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--start", type=float, default=0.0)
     search.add_argument("--end", type=float, default=1.0)
     search.add_argument("-k", "--k", type=int, default=5, help="number of neighbours")
-    search.add_argument(
-        "--backend", choices=("exact", "ivf-flat"), default="exact",
-        help="vector-index backend (repro.index)",
-    )
     search.add_argument(
         "--pool-videos", type=int, default=50,
         help="videos whose features form the searchable pool",
@@ -306,14 +302,13 @@ def _run_report(args: argparse.Namespace) -> str:
 
 
 def _run_search(args: argparse.Namespace) -> str:
-    from .config import ALMConfig, IndexConfig, VocalExploreConfig
+    from .config import ALMConfig, VocalExploreConfig
     from .core.api import VOCALExplore
     from .datasets.catalog import build_dataset
 
     dataset = build_dataset(args.dataset, seed=args.seed)
     config = VocalExploreConfig(seed=args.seed).with_updates(
         alm=ALMConfig(candidate_pool_size=args.pool_videos),
-        index=IndexConfig(backend=args.backend),
     )
     vocal = VOCALExplore.for_dataset(dataset, config=config)
     vid = args.vid if args.vid is not None else dataset.train_corpus.vids()[0]
@@ -335,7 +330,7 @@ def _run_search(args: argparse.Namespace) -> str:
             rows,
             title=(
                 f"Clips like video {vid} [{args.start:.1f}s, {args.end:.1f}s] "
-                f"({feature} features, {args.backend} index)"
+                f"({feature} features, exact search)"
             ),
         ),
         "",

@@ -26,7 +26,6 @@ __all__ = [
     "SchedulerConfig",
     "ModelConfig",
     "ExploreConfig",
-    "IndexConfig",
     "TelemetryConfig",
     "ServingConfig",
     "VocalExploreConfig",
@@ -191,35 +190,6 @@ class ExploreConfig:
 
 
 @dataclass(frozen=True)
-class IndexConfig:
-    """Vector-index subsystem (``repro.index``) used for nearest-neighbour math.
-
-    The exact backend reproduces brute-force results bit-for-bit; the IVF
-    backend trades recall for sub-linear search over large candidate pools.
-    """
-
-    #: Index backend: "exact" (default, the correctness oracle) or "ivf-flat".
-    backend: str = "exact"
-    #: IVF coarse-cell count; None derives ``round(sqrt(n))`` at build time.
-    nlist: int | None = None
-    #: IVF cells probed per query (recall/speed knob).
-    nprobe: int = 8
-    #: IVF re-trains once incremental adds exceed this fraction of the
-    #: trained size.
-    retrain_factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("exact", "ivf-flat"):
-            raise ValueError(f"unknown index backend {self.backend!r}")
-        if self.nlist is not None and self.nlist < 1:
-            raise ValueError("nlist must be >= 1")
-        if self.nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
-        if self.retrain_factor <= 0:
-            raise ValueError("retrain_factor must be > 0")
-
-
-@dataclass(frozen=True)
 class TelemetryConfig:
     """Observability subsystem (``repro.telemetry``).
 
@@ -351,7 +321,6 @@ class VocalExploreConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     explore: ExploreConfig = field(default_factory=ExploreConfig)
-    index: IndexConfig = field(default_factory=IndexConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     #: Random seed driving sampling, synthetic data, and model initialisation.
     seed: int = 0
@@ -373,8 +342,8 @@ class VocalExploreConfig:
                 its section does not have.
         """
         valid = {
-            "alm", "feature_selection", "scheduler", "model", "explore", "index",
-            "telemetry", "seed",
+            "alm", "feature_selection", "scheduler", "model", "explore", "telemetry",
+            "seed",
         }
         unknown = set(sections) - valid
         if unknown:

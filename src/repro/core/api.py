@@ -114,7 +114,6 @@ class VOCALExplore:
             config.alm,
             config.feature_selection,
             seed=config.seed,
-            index=config.index,
         )
         session = ExplorationSession(
             corpus, storage, feature_manager, model_manager, alm, config, cost_model
@@ -192,10 +191,9 @@ class VOCALExplore:
         """Find the ``k`` stored clips most similar to ``query``.
 
         ``query`` is a clip — a ``(vid, start, end)`` tuple or a ``ClipSpec``
-        — or a raw feature vector (numpy array or list).  Runs through the
-        configured ``repro.index`` backend (exact by default, ANN via
-        ``config.index``) with its latency charged against the simulated
-        clock.
+        — or a raw feature vector (numpy array or list).  Runs an exact scan
+        of every stored vector of the extractor, with its latency charged
+        against the simulated clock.
         """
         return self.session.search(query, k=k, feature_name=feature_name)
 

@@ -29,9 +29,10 @@ checksummed, and each array is a writable view into them.  Snapshots of
 format 1 kept the arrays in ``arrays.npz`` instead; they still restore.
 
 What is deliberately *not* captured: pure caches that are bit-identical to
-recompute (the ALM's acquisition-context cache, lazily built sorted-midpoint
-and vector indexes) and the scheduler's completed-task log (inspection only;
-latency records are the comparable artefact).
+recompute (the ALM's acquisition-context cache, the lazily built
+sorted-midpoint index and the row norms a feature search caches) and the
+scheduler's completed-task log (inspection only; latency records are the
+comparable artefact).
 """
 
 from __future__ import annotations
@@ -397,9 +398,6 @@ def capture_state(session: "ExplorationSession", extra_state: dict | None) -> tu
             "iteration": session._iteration,
             "labels_at_iteration_start": session._labels_at_iteration_start,
             "eager_videos_done": session._eager_videos_done,
-            "eager_inflight": {
-                fid: sorted(vids) for fid, vids in session._eager_inflight.items()
-            },
             "round_scores": dict(session._round_scores),
             "round_expected": sorted(session._round_expected),
             "force_acquisition": session.force_acquisition,
@@ -687,8 +685,7 @@ def restore_snapshot_files(session: "ExplorationSession", files: Mapping[str, by
         else:
             shards[fid] = None
     # Snapshots written by older versions also hold each shard's index
-    # backend; the backend is configuration (the session's IndexConfig), so
-    # those keys are ignored.
+    # backend; search is always an exact scan now, so those keys are ignored.
     storage.features.restore_columns(
         shards,
         dims,
@@ -709,9 +706,9 @@ def restore_snapshot_files(session: "ExplorationSession", files: Mapping[str, by
     session._iteration_open = False
     session._labels_at_iteration_start = int(doc["labels_at_iteration_start"])
     session._eager_videos_done = int(doc["eager_videos_done"])
-    session._eager_inflight = {
-        fid: set(vids) for fid, vids in doc["eager_inflight"].items()
-    }
+    # Older snapshots also hold "eager_inflight", the videos of unfinished
+    # eager tasks.  Such a task is restored to the queue and runs before any
+    # new eager task is made, so the key is ignored.
     session._round_scores = {
         name: float(score) for name, score in doc["round_scores"].items()
     }

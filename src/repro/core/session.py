@@ -176,13 +176,11 @@ class ExplorationSession:
         self._round_expected: set[str] = set()
         self._eager_cursor = 0
         self._eager_videos_done = 0
-        # Videos handed to eager tasks that have not completed yet.  An
-        # unfinished eager task sits in the queue and is popped before the
-        # factory is asked, so the factory finds no video of a queued task
-        # here; snapshots carry the set all the same.  ``_eager_lock`` keeps
-        # the batch choice and the bookkeeping that claims it atomic for
-        # callers sharing the session across threads.
-        self._eager_inflight: dict[str, set[int]] = {}
+        # Keeps the batch choice and the count that claims it atomic for
+        # callers sharing the session across threads.  An unfinished eager
+        # task stays queued and available, so the scheduler hands it out
+        # again before it asks the factory for a new one: no two eager
+        # tasks are ever outstanding.
         self._eager_lock = threading.Lock()
 
         if self.behaviour.eager_extraction:
@@ -339,11 +337,11 @@ class ExplorationSession:
         ``query`` is either a clip — a :class:`ClipSpec` or a ``(vid, start,
         end)`` **tuple**, whose feature is extracted on demand (charged as
         T_f) — or a raw feature vector (numpy array or list) in the
-        extractor's space.  The search runs
-        over every vector stored for the extractor through the shard's
-        ``repro.index`` backend (chosen by ``config.index``) and is charged as
-        a T_s-style foreground task, so similarity exploration shows up in
-        visible-latency accounting like any other user-facing call.
+        extractor's space.  The search is an exact scan
+        (``repro.index.ExactScan``) of every vector stored for the extractor
+        and is charged as a T_s-style foreground task, so similarity
+        exploration shows up in visible-latency accounting like any other
+        user-facing call.
 
         When fewer than ``k`` vectors are stored, a candidate pool of
         ``config.alm.candidate_pool_size`` videos is extracted first (charged
@@ -389,12 +387,10 @@ class ExplorationSession:
             if num_vectors == 0:
                 raise ReproError(f"no {feature} features available to search")
 
-            index = self.config.index
-            approximate = index.backend != "exact"
             self.scheduler.run_foreground(
                 Task(
                     kind=TaskKind.VECTOR_SEARCH,
-                    duration=self.cost_model.search_time(1, num_vectors, approximate),
+                    duration=self.cost_model.search_time(1, num_vectors),
                     description=f"search top-{k} of {num_vectors} {feature} vectors",
                 )
             )
@@ -404,9 +400,7 @@ class ExplorationSession:
             exclude = (
                 store.resolve_clips(feature, [query_clip])[0] if query_clip is not None else None
             )
-            distances, rows = store.search(
-                feature, query_vector, k + (exclude is not None), index, self.config.seed
-            )
+            distances, rows = store.search(feature, query_vector, k + (exclude is not None))
             hits: list[SearchHit] = []
             for distance, clip in zip(distances[0], store.clips_at(feature, rows[0])):
                 if clip is None or clip == exclude:
@@ -873,7 +867,6 @@ class ExplorationSession:
         with self.features.reserve(), self._eager_lock:
             processed_by_feature = {
                 feature: set(self.features.vids_with_features(feature))
-                | self._eager_inflight.setdefault(feature, set())
                 for feature in candidates
             }
             for feature in sorted(candidates, key=lambda f: len(processed_by_feature[f])):
@@ -887,7 +880,6 @@ class ExplorationSession:
                     break
             if not batch or feature_for_batch is None:
                 return None
-            self._eager_inflight[feature_for_batch].update(batch)
             self._eager_videos_done += len(batch)
 
         spec = self.features.extractor(feature_for_batch).spec
@@ -906,7 +898,5 @@ class ExplorationSession:
 
         def action(at_time: float) -> None:
             self.features.ensure_video_features(feature, list(vids))
-            with self._eager_lock:
-                self._eager_inflight.setdefault(feature, set()).difference_update(vids)
 
         return action

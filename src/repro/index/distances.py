@@ -1,17 +1,17 @@
-"""Shared distance kernels for the vector-index subsystem.
+"""The shared squared-Euclidean distance kernel.
 
-Every nearest-neighbour computation in the system — k-means assignment,
-coreset initialisation, and the index backends themselves — goes through the
-same squared-Euclidean norm expansion so that (a) no caller materialises an
-``(n, m, d)`` difference tensor and (b) exact-backend results are bit-identical
-wherever they are computed.
+Every nearest-neighbour computation in the system (k-means assignment,
+coreset initialisation and the exact scan in :mod:`repro.index.exact`) goes
+through the same norm expansion, so that (a) no caller materialises an
+``(n, m, d)`` difference tensor and (b) results are bit-identical wherever
+they are computed.
 
 The expansion ``|x - c|^2 = |x|^2 + |c|^2 - 2 x.c`` needs only an ``(n, m)``
 matmul, so it stays cache- and memory-friendly for large pools.  The operation
 order inside :func:`pairwise_sq_distances` is deliberately fixed (row norms
 plus column norms, then subtract the doubled matmul, then clip at zero):
 changing it changes last-ulp rounding, which would break the bit-identity
-guarantees the exact backend makes to k-means and coreset.
+guarantees the exact scan makes to k-means and coreset.
 """
 
 from __future__ import annotations

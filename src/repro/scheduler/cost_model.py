@@ -33,9 +33,6 @@ class CostModel:
     selection_time_active: float = 0.05
     #: Per-(query, scanned-vector) cost of one similarity search.
     search_time_per_vector: float = 2e-7
-    #: Fraction of the pool an approximate index is modeled to scan; exact
-    #: search scans everything.
-    ann_scan_fraction: float = 0.1
     #: Fixed plus per-label components of one model-training task (T_m).
     training_base_time: float = 1.0
     training_time_per_label: float = 0.02
@@ -81,15 +78,12 @@ class CostModel:
         per_clip = self.selection_time_active if active else self.selection_time_random
         return max(0, num_clips) * per_clip
 
-    def search_time(self, num_queries: int, num_vectors: int, approximate: bool = False) -> float:
+    def search_time(self, num_queries: int, num_vectors: int) -> float:
         """T_s-style cost of a similarity search over ``num_vectors`` stored vectors.
 
-        Approximate (ANN) backends are modeled as scanning only
-        ``ann_scan_fraction`` of the pool, mirroring an IVF index probing
-        ``nprobe / nlist`` of its inverted lists.
+        The search is exact, so every query scans every stored vector.
         """
-        scanned = max(0, num_vectors) * (self.ann_scan_fraction if approximate else 1.0)
-        return max(0, num_queries) * scanned * self.search_time_per_vector
+        return max(0, num_queries) * max(0, num_vectors) * self.search_time_per_vector
 
     def training_time(self, num_labels: int) -> float:
         """T_m for training one linear probe on ``num_labels`` labels."""

@@ -137,7 +137,7 @@ def replay_records(storage: "StorageManager", records: Iterable[dict]) -> Replay
                 stats.models_applied += 1
             elif kind in ("index_attach", "index_sync"):
                 # Journals written by older versions record index choices;
-                # the backend is configuration (IndexConfig), so skip them.
+                # search is always an exact scan now, so skip them.
                 stats.skipped += 1
             elif kind == "iteration":
                 stats.iterations_seen.append(int(record["iteration"]))

@@ -16,11 +16,10 @@ Lookup paths:
   and, among identical midpoints, the first-inserted row;
 * ``matrix``/``get_many``/``has_many`` resolve whole clip batches at once and
   gather rows from the columnar matrix in one fancy-indexing operation;
-* similarity search over the vector *contents* (``search``) goes through a
-  per-shard ``repro.index`` vector index built from the caller's
-  ``IndexConfig``; like the sorted-midpoint index it is built lazily and kept
-  in sync with writes — appended rows are folded in incrementally on the
-  next search, and a different config or a restore drops the index.
+* similarity search over the vector *contents* (``search``) is an exact
+  scan (``repro.index.ExactScan``) of the shard's own matrix.  Its row norms
+  are cached like the sorted-midpoint index: computed for rows appended
+  since the last search, and dropped by a restore.
 
 Snapshots (``repro.core.checkpoint``) stage each shard's columns straight
 into the snapshot bundle, and :meth:`FeatureStore.restore_columns` adopts
@@ -35,9 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..config import IndexConfig
 from ..exceptions import MissingFeatureError, StorageError
-from ..index import VectorIndex, make_index
+from ..index import ExactScan, squared_norms
 from ..types import ClipSpec, FeatureVector
 from .durability.codec import encode_array
 
@@ -100,12 +98,10 @@ class _ExtractorShard:
         #: lazily built (vids, midpoints, rows) arrays sorted by (vid, mid, row),
         #: shared by every nearest lookup; invalidated by writes
         self._gsort: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        #: lazily built vector index over the matrix rows and the (config,
-        #: seed) it was built from; appended rows are folded in incrementally
-        #: on the next search, a different config or a restore drops it
-        self._vindex: VectorIndex | None = None
-        self._vindex_built_from: tuple[IndexConfig, int] | None = None
-        self._vindex_rows = 0
+        #: squared norms of the first ``len(self._sq_norms)`` matrix rows,
+        #: extended by the next search over rows appended since; a restore
+        #: drops them
+        self._sq_norms = np.empty(0)
 
     def __len__(self) -> int:
         return self._n
@@ -268,7 +264,7 @@ class _ExtractorShard:
         for i, vid in enumerate(vid_list):
             self._vid_rows.setdefault(vid, []).append(i)
         self._gsort = None
-        self._vindex = None
+        self._sq_norms = np.empty(0)
         self.epoch += 1
 
     # ----------------------------------------------------------------- reads
@@ -347,31 +343,23 @@ class _ExtractorShard:
         return g_rows[pick]
 
     # --------------------------------------------------------- vector search
-    def search(
-        self, queries: np.ndarray, k: int, index: IndexConfig, seed: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched k-NN over the stored vectors; returns ``(sq_distances, rows)``.
+    def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exact batched k-NN over the stored vectors: ``(sq_distances, rows)``.
 
-        The index is built from ``index`` and ``seed`` on first use and kept
-        in sync with writes: rows appended since the last search are folded
-        in with the index's incremental ``add`` (ANN backends may re-train
-        themselves).  A search with a different config or seed, or one after
-        :meth:`adopt_columns`, builds a fresh index.
+        Scans the shard's own matrix; the row norms of rows appended since
+        the last search are computed first and kept for the next one.
 
         Raises:
             MissingFeatureError: when the shard holds no vectors.
         """
         if self._n == 0:
             raise MissingFeatureError(f"no {self.fid} features stored to search")
-        if self._vindex is None or self._vindex_built_from != (index, seed):
-            self._vindex = make_index(index, seed)
-            self._vindex.build(self.matrix)
-            self._vindex_built_from = (index, seed)
-            self._vindex_rows = self._n
-        elif self._vindex_rows < self._n:
-            self._vindex.add(self._matrix[self._vindex_rows : self._n])
-            self._vindex_rows = self._n
-        return self._vindex.search(queries, k)
+        normed = len(self._sq_norms)
+        if normed < self._n:
+            self._sq_norms = np.concatenate(
+                [self._sq_norms, squared_norms(self._matrix[normed : self._n])]
+            )
+        return ExactScan(self.matrix, self._sq_norms).search(queries, k)
 
 
 class FeatureStore:
@@ -647,16 +635,13 @@ class FeatureStore:
         fid: str,
         queries: np.ndarray,
         k: int = 10,
-        index: IndexConfig = IndexConfig(),
-        seed: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """k-NN over ``fid``'s stored vectors: ``(squared_distances, rows)``.
+        """Exact k-NN over ``fid``'s stored vectors: ``(squared_distances, rows)``.
 
         ``queries`` is one ``(d,)`` vector or a ``(q, d)`` batch; both returned
         arrays have shape ``(q, k)``, with rows short of ``k`` neighbours
         padded by ``inf``/``-1``.  Row indices convert to clips via
-        :meth:`clips_at`.  ``index`` and ``seed`` choose the backend; the
-        shard keeps the index it built until either changes.
+        :meth:`clips_at`.
 
         Raises:
             MissingFeatureError: when the extractor is unknown or empty.
@@ -667,10 +652,9 @@ class FeatureStore:
             "index",
             metric="index.search_seconds",
             fid=fid,
-            backend=index.backend,
             k=k,
         ) as span:
-            result = shard.search(queries, k, index, seed)
+            result = shard.search(queries, k)
             candidates = int((result[1] >= 0).sum())
             span.set_attribute("candidates", candidates)
             telemetry.histogram(
@@ -701,8 +685,8 @@ class FeatureStore:
         ``shards`` maps each extractor to its ``(vids, starts, ends,
         vectors)`` columns, or None for an empty shard; ``dims`` carries the
         dimensionality of empty shards.  Used by snapshot recovery, which
-        bundles every shard's columns into one archive.  Vector indexes are
-        rebuilt on the next search.
+        bundles every shard's columns into one archive.  Search row norms are
+        recomputed by the next search.
         """
         self._shards = {}
         for fid, columns in shards.items():

@@ -23,7 +23,7 @@ Instrumented call sites go through the *module facade* defined here::
 
     from .. import telemetry
 
-    with telemetry.span("search", "index", backend=backend):
+    with telemetry.span("search", "index", fid=fid, k=k):
         ...
     telemetry.histogram("index.search_seconds").observe(elapsed)
 

@@ -74,11 +74,6 @@ class VideoRecord:
         if self.fps <= 0:
             raise InvalidClipError(f"video {self.vid} must have positive fps, got {self.fps}")
 
-    @property
-    def frame_count(self) -> int:
-        """Number of frames in the encoded video."""
-        return int(round(self.duration * self.fps))
-
 
 @dataclass(frozen=True, order=True)
 class ClipSpec:

@@ -11,7 +11,7 @@ Two kinds of clip enumeration are needed:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,13 +70,6 @@ class ClipSampler:
         if not clips:
             clips.append(ClipSpec(video.vid, 0.0, video.duration))
         return clips
-
-    def feature_windows_for(self, videos: Iterable[VideoRecord]) -> list[ClipSpec]:
-        """Feature windows for several videos, concatenated in order."""
-        windows: list[ClipSpec] = []
-        for video in videos:
-            windows.extend(self.feature_windows(video))
-        return windows
 
     def window_containing(self, video: VideoRecord, time: float) -> ClipSpec:
         """The feature window whose span contains ``time`` (clamped to the video)."""

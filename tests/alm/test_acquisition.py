@@ -1,9 +1,14 @@
-"""Tests for acquisition functions and the k-means helper."""
+"""Tests for acquisition functions and the k-means helper.
+
+``TestExactPathParity`` pins k-means and coreset to the seed's brute-force
+implementations, replicated verbatim below (``seed_kmeans``,
+``seed_coreset_select``): the exact scan and the shared distance kernel
+must reproduce them bit for bit.
+"""
 
 import numpy as np
 import pytest
 
-from repro.config import IndexConfig
 from repro.exceptions import ALMError, AcquisitionError
 from repro.alm.acquisition import (
     AcquisitionContext,
@@ -12,7 +17,7 @@ from repro.alm.acquisition import (
     RandomAcquisition,
     RareCategoryUncertaintyAcquisition,
 )
-from repro.alm.clustering import kmeans
+from repro.alm.clustering import _init_centroids, kmeans
 from repro.models.linear import SoftmaxRegression
 from repro.types import ClipSpec, VideoRecord
 
@@ -70,28 +75,6 @@ class TestKMeans:
         result = kmeans(rng.standard_normal((25, 4)), 3, rng=rng)
         assert result.inertia >= 0.0
 
-    def test_ann_backend_misses_fall_back_to_exact(self, monkeypatch):
-        # An ANN index may return the -1/inf no-neighbour sentinel; every
-        # point must still get its exact nearest centroid.
-        from repro.alm import clustering
-        from repro.index import ExactIndex
-
-        class MissEveryOther(ExactIndex):
-            def search(self, queries, k):
-                distances, indices = super().search(queries, k)
-                distances[::2], indices[::2] = np.inf, -1
-                return distances, indices
-
-        monkeypatch.setattr(clustering, "make_index", lambda config, seed=0: MissEveryOther())
-        rng = np.random.default_rng(3)
-        points = rng.standard_normal((50, 8))
-        for k in (1, 2, 5):
-            ann = kmeans(
-                points, k, rng=np.random.default_rng(0), index=IndexConfig(backend="ivf-flat")
-            )
-            exact = kmeans(points, k, rng=np.random.default_rng(0))
-            assert np.array_equal(ann.assignments, exact.assignments)
-            assert ann.inertia == pytest.approx(exact.inertia)
 
 class TestRandomAcquisition:
     def test_selects_requested_count(self, rng):
@@ -185,14 +168,6 @@ class TestCoresetAcquisition:
             )
             distances[nxt] = -np.inf
         assert [clip.vid for clip in clips] == chosen
-
-    def test_ann_backend_selects_requested_count(self, rng):
-        context = make_context(num_candidates=60, dim=8, seed=21)
-        context.labeled_features = np.random.default_rng(5).standard_normal((30, 8))
-        clips = CoresetAcquisition(
-            index=IndexConfig(backend="ivf-flat", nprobe=2), seed=0
-        ).select(context, 5, rng)
-        assert len(clips) == 5
 
 
 class TestClusterMarginAcquisition:
@@ -289,3 +264,108 @@ class TestRareCategoryUncertainty:
         probabilities = model.predict_proba(features)[:, model.classes.index("pos")]
         chosen = [candidates.index(c) for c in clips]
         assert np.mean(np.abs(probabilities[chosen] - 0.5)) <= np.mean(np.abs(probabilities - 0.5))
+
+
+# ------------------------------------------------ seed reference (pre-index)
+def seed_pairwise_sq(points, points_sq, centroids):
+    """The seed's ``clustering._pairwise_sq_distances``, verbatim."""
+    sq = points_sq[:, None] + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    sq -= 2.0 * (points @ centroids.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def seed_kmeans(points, num_clusters, rng, max_iterations=50, tolerance=1e-6):
+    """The seed's brute-force k-means, replicated verbatim."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    k = max(1, min(int(num_clusters), n))
+    points_sq = np.einsum("ij,ij->i", points, points)
+    centroids = _init_centroids(points, k, rng)
+    for __ in range(max_iterations):
+        sq_distances = seed_pairwise_sq(points, points_sq, centroids)
+        assignments = sq_distances.argmin(axis=1)
+        counts = np.bincount(assignments, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, points)
+        new_centroids = centroids.copy()
+        occupied = counts > 0
+        new_centroids[occupied] = sums[occupied] / counts[occupied, None]
+        if not occupied.all():
+            farthest = int(sq_distances.min(axis=1).argmax())
+            new_centroids[~occupied] = points[farthest]
+        shift = float(np.linalg.norm(new_centroids - centroids))
+        centroids = new_centroids
+        if shift < tolerance:
+            break
+    final_sq = seed_pairwise_sq(points, points_sq, centroids)
+    assignments = final_sq.argmin(axis=1)
+    return assignments, centroids, float(np.sum(final_sq[np.arange(n), assignments]))
+
+
+def seed_coreset_select(features, labeled, count, rng):
+    """The seed's ``CoresetAcquisition.select`` index arithmetic, verbatim."""
+    chosen = []
+    count = min(count, features.shape[0])
+    if labeled.size:
+        distances = np.min(
+            np.linalg.norm(features[:, None, :] - labeled[None, :, :], axis=2), axis=1
+        )
+    else:
+        seed = int(rng.integers(0, features.shape[0]))
+        chosen.append(seed)
+        distances = np.linalg.norm(features - features[seed], axis=1)
+        distances[seed] = -np.inf
+    while len(chosen) < count:
+        next_index = int(np.argmax(distances))
+        if not np.isfinite(distances[next_index]) and chosen:
+            break
+        chosen.append(next_index)
+        new_distances = np.linalg.norm(features - features[next_index], axis=1)
+        distances = np.minimum(distances, new_distances)
+        distances[next_index] = -np.inf
+    return chosen
+
+
+@pytest.fixture(scope="module")
+def parity_pool():
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((3000, 32))
+    labeled = rng.standard_normal((80, 32))
+    candidates = [ClipSpec(i, 0.0, 1.0) for i in range(features.shape[0])]
+    return candidates, features, labeled
+
+
+class TestExactPathParity:
+    @pytest.mark.parametrize("trial", range(5))
+    @pytest.mark.parametrize("data", ["gaussian", "lattice"])
+    def test_kmeans_bit_equal_to_seed(self, trial, data):
+        rng = np.random.default_rng(10 + trial)
+        if data == "gaussian":
+            points = rng.standard_normal((600, 16))
+        else:
+            # Integer grid points: many exact distance ties between centroids.
+            points = rng.integers(0, 4, size=(600, 3)).astype(np.float64)
+        old_a, old_c, old_i = seed_kmeans(points, 12, np.random.default_rng(trial))
+        result = kmeans(points, 12, rng=np.random.default_rng(trial))
+        assert np.array_equal(old_a, result.assignments)
+        assert np.array_equal(old_c, result.centroids)
+        assert old_i == result.inertia
+
+    @pytest.mark.parametrize("with_labeled", [True, False])
+    def test_coreset_equals_seed(self, parity_pool, with_labeled):
+        candidates, features, labeled = parity_pool
+        lab = labeled if with_labeled else np.empty((0, 0))
+        context = AcquisitionContext(
+            candidates=candidates, candidate_features=features, labeled_features=lab
+        )
+        new = CoresetAcquisition().select(context, 25, np.random.default_rng(1))
+        old = seed_coreset_select(features, lab, 25, np.random.default_rng(1))
+        assert new == [candidates[i] for i in old]
+
+    def test_cluster_margin_is_deterministic(self, parity_pool):
+        candidates, features, __ = parity_pool
+        context = AcquisitionContext(candidates=candidates, candidate_features=features)
+        first = ClusterMarginAcquisition().select(context, 15, np.random.default_rng(2))
+        again = ClusterMarginAcquisition().select(context, 15, np.random.default_rng(2))
+        assert len(first) == 15 and first == again

@@ -47,12 +47,6 @@ class TestEWMASmoother:
     def test_current_before_updates(self):
         assert EWMASmoother(span=3).current == 0.0
 
-    def test_update_many(self):
-        smoother = EWMASmoother(span=3)
-        final = smoother.update_many([1.0, 2.0, 3.0])
-        assert final == smoother.current
-        assert len(smoother) == 3
-
     def test_invalid_span(self):
         with pytest.raises(ValueError):
             EWMASmoother(0)

@@ -8,7 +8,6 @@ from repro.config import (
     ALMConfig,
     ExploreConfig,
     FeatureSelectionConfig,
-    IndexConfig,
     ModelConfig,
     SchedulerConfig,
     VocalExploreConfig,
@@ -114,19 +113,23 @@ class TestConfigValidation:
         # Original is unchanged (frozen dataclass semantics).
         assert config.scheduler.strategy == "ve-full"
 
-    def test_with_updates_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="gpu"):
-            VocalExploreConfig().with_updates(gpu="a100")
+    @pytest.mark.parametrize(
+        "section, value",
+        [("gpu", "a100"), ("index", {"backend": "ivf-flat"})],
+    )
+    def test_with_updates_unknown_section_rejected(self, section, value):
+        with pytest.raises(ConfigError, match=section):
+            VocalExploreConfig().with_updates(**{section: value})
 
     def test_with_updates_builds_a_section_from_a_mapping(self, tmp_path):
         config = VocalExploreConfig(seed=3)
         from_mapping = config.with_updates(
             scheduler={"strategy": "serial", "checkpoint_dir": str(tmp_path)},
-            index={"backend": "ivf-flat", "nprobe": 2},
+            model={"l2_regularization": 0.5},
         )
         from_dataclasses = config.with_updates(
             scheduler=SchedulerConfig(strategy="serial", checkpoint_dir=str(tmp_path)),
-            index=IndexConfig(backend="ivf-flat", nprobe=2),
+            model=ModelConfig(l2_regularization=0.5),
         )
         assert from_mapping == from_dataclasses
         assert isinstance(from_mapping.scheduler, SchedulerConfig)
@@ -142,10 +145,6 @@ class TestConfigValidation:
 
 
 class TestVideoRecordAndClip:
-    def test_video_record_frame_count(self):
-        record = VideoRecord(vid=0, path="a.mp4", duration=2.0, fps=30.0)
-        assert record.frame_count == 60
-
     def test_video_record_validation(self):
         with pytest.raises(InvalidClipError):
             VideoRecord(vid=0, path="a.mp4", duration=0.0)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.config import IndexConfig, VocalExploreConfig
+from repro.config import VocalExploreConfig
 from repro.core.api import VOCALExplore
 from repro.core.session import SearchHit
 from repro.exceptions import ReproError
-from repro.index import IVFFlatIndex
 from repro.scheduler.tasks import TaskKind
 from repro.types import ClipSpec
 
@@ -105,46 +104,12 @@ class TestSessionSearch:
         with pytest.raises(ReproError):
             vocal.search(np.zeros((2, 2)), k=1)
 
-    def test_ann_backend_selectable_via_config(self, tiny_dataset):
-        config = VocalExploreConfig(seed=1).with_updates(
-            index=IndexConfig(backend="ivf-flat", nprobe=4)
-        )
-        vocal = VOCALExplore.for_corpus(
-            tiny_dataset.train_corpus,
-            vocabulary=tiny_dataset.class_names,
-            feature_qualities=tiny_dataset.feature_qualities,
-            config=config,
-        )
-        hits = vocal.search((0, 0.0, 1.0), k=5)
-        assert len(hits) == 5
-        feature = vocal.current_feature()
-        built = vocal.session.storage.features._shards[feature]._vindex
-        assert type(built) is IVFFlatIndex
-        assert (built.nprobe, built.seed) == (4, 1)
-
-    def test_exact_and_ann_agree_on_top_hit(self, tiny_dataset):
-        results = {}
-        for backend in ("exact", "ivf-flat"):
-            config = VocalExploreConfig(seed=1).with_updates(
-                index=IndexConfig(backend=backend)
-            )
-            vocal = VOCALExplore.for_corpus(
-                tiny_dataset.train_corpus,
-                vocabulary=tiny_dataset.class_names,
-                feature_qualities=tiny_dataset.feature_qualities,
-                config=config,
-            )
-            results[backend] = vocal.search((0, 0.0, 1.0), k=10)
-        exact_clips = {hit.clip for hit in results["exact"]}
-        ann_clips = {hit.clip for hit in results["ivf-flat"]}
-        assert len(exact_clips & ann_clips) >= 5  # decent agreement
-
 
 class TestSearchCLI:
     def test_cli_search_end_to_end(self, capsys):
         code = cli_main(
             ["search", "--dataset", "deer", "--vid", "0", "--start", "0", "--end", "1",
-             "-k", "3", "--backend", "exact", "--pool-videos", "10"]
+             "-k", "3", "--pool-videos", "10"]
         )
         output = capsys.readouterr().out
         assert code == 0
@@ -153,10 +118,7 @@ class TestSearchCLI:
         latency = float(output.rsplit("visible latency charged:", 1)[1].split("s")[0])
         assert latency > 0.0
 
-    def test_cli_search_ann_backend(self, capsys):
-        code = cli_main(
-            ["search", "--dataset", "deer", "-k", "3", "--backend", "ivf-flat",
-             "--pool-videos", "10"]
-        )
-        assert code == 0
-        assert "ivf-flat index" in capsys.readouterr().out
+    def test_cli_search_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["search", "--dataset", "deer", "--backend", "exact"])
+        assert "--backend" in capsys.readouterr().err

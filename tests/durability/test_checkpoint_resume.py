@@ -21,7 +21,7 @@ import pytest
 
 from repro.exceptions import CheckpointError
 from repro.experiments.runner import RunnerConfig, SessionRunner
-from repro.index import ExactIndex
+from repro.index import ExactScan
 from repro.serving import session_fingerprint as state_digest
 from repro.storage.durability import replay_records
 from repro.storage.durability.journal import read_journal
@@ -216,8 +216,8 @@ class TestSnapshotPlusTail:
         first.close()
 
 
-#: Record types a checkpointed session journals; the index backend is
-#: configuration, so no index record is ever written.
+#: Record types a checkpointed session journals; search is always an exact
+#: scan, so no index record is ever written.
 STORE_RECORD_TYPES = {"label", "video", "features", "model", "iteration"}
 
 #: Journal records of index choices as older versions wrote them.
@@ -254,7 +254,15 @@ def write_like_older_versions(monkeypatch):
     monkeypatch.setattr(FeatureStore, "add_batch", add_batch_with_index_records)
 
 
-class TestIndexChoiceIsConfiguration:
+def assert_hits_equal_fresh_scan(session, fid, query, k):
+    """A search's distances and rows equal a from-scratch exact scan of the shard."""
+    store = session.storage.features
+    got = store.search(fid, query, k=k)
+    want = ExactScan(store._shards[fid].matrix.copy()).search(query, k)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestIndexChoicesOfOlderVersions:
     def test_searching_session_journals_only_store_records(self, dataset, tmp_path):
         # No automatic checkpoints: every record stays in generation 0's
         # journal, so the whole committed stream can be read back.
@@ -274,26 +282,27 @@ class TestIndexChoiceIsConfiguration:
         assert set(state["features"]) == {"epochs", "shards"}
         runner.close()
 
+    @pytest.mark.parametrize("backend", ["lsh", "ivf-flat"])
     @pytest.mark.parametrize("fid", ["r3d", "clip"])  # a stored shard, a pending spec
-    def test_snapshot_naming_lsh_resumes_with_configured_backend(
-        self, dataset, tmp_path, monkeypatch, fid
+    def test_snapshot_naming_an_index_backend_resumes_to_exact_search(
+        self, dataset, tmp_path, monkeypatch, fid, backend
     ):
         from repro.core import checkpoint
 
         capture = checkpoint._capture_features_meta
 
-        def capture_with_lsh(session):
+        def capture_with_backend(session):
             # Older versions kept a spec for a stored shard under
             # "index_specs" and for an extractor with no shard yet under
             # "pending_index".
             meta = capture(session)
             stored = fid in session.storage.features.extractors()
-            meta["index_specs"] = {fid: ["lsh", {}]} if stored else {}
-            meta["pending_index"] = {} if stored else {fid: ["lsh", {}]}
+            meta["index_specs"] = {fid: [backend, {}]} if stored else {}
+            meta["pending_index"] = {} if stored else {fid: [backend, {}]}
             return meta
 
         with monkeypatch.context() as patch:
-            patch.setattr(checkpoint, "_capture_features_meta", capture_with_lsh)
+            patch.setattr(checkpoint, "_capture_features_meta", capture_with_backend)
             live = SessionRunner(dataset, run_config(tmp_path / "ckpt", num_steps=2))
             live.run()
             live.vocal.checkpoint()
@@ -303,9 +312,9 @@ class TestIndexChoiceIsConfiguration:
         hits = resumed.vocal.search((0, 0.0, 1.0), k=3, feature_name=fid)
         assert len(hits) == 3
         session = resumed.vocal.session
-        shard = session.storage.features._shards[fid]
-        assert type(shard._vindex) is ExactIndex
-        assert shard._vindex_built_from == (session.config.index, session.config.seed)
+        query = session.storage.features.matrix(fid, [hits[0].clip])[0]
+        for k in (1, 10):
+            assert_hits_equal_fresh_scan(session, fid, query, k)
         resumed.close()
 
     def test_old_index_records_replay_as_skipped(self):
@@ -342,13 +351,13 @@ class TestIndexChoiceIsConfiguration:
         assert_fingerprints_equal(expected, session_fingerprint(resumed.vocal.session))
         assert state_digest(resumed.vocal) == expected_state
 
-        # The next search builds the index the session's config names.
+        # The next searches are exact scans of the resumed rows.
         session = resumed.vocal.session
         feature = session.alm.current_feature()
-        resumed.vocal.search((0, 0.0, 1.0), k=3, feature_name=feature)
-        shard = session.storage.features._shards[feature]
-        assert type(shard._vindex) is ExactIndex
-        assert shard._vindex_built_from == (session.config.index, session.config.seed)
+        hits = resumed.vocal.search((0, 0.0, 1.0), k=3, feature_name=feature)
+        query = session.storage.features.matrix(feature, [hits[0].clip])[0]
+        for k in (1, 10):
+            assert_hits_equal_fresh_scan(session, feature, query, k)
         resumed.close()
         interrupted.close()
 

@@ -220,6 +220,37 @@ class TestFormat2Snapshot:
         resumed.close()
 
 
+    def test_an_older_eager_inflight_key_is_ignored(self, dataset, tmp_path, monkeypatch):
+        # Older versions wrote the videos of unfinished eager tasks under
+        # "eager_inflight"; restore ignores the key, whatever it holds.
+        baseline = SessionRunner(dataset, run_config(strategy="ve-full"))
+        baseline.run()
+        expected = session_fingerprint(baseline.vocal)
+        baseline.close()
+
+        capture = checkpoint.capture_state
+
+        def capture_like_older_versions(session, extra_state):
+            state, arrays = capture(session, extra_state)
+            state["session"]["eager_inflight"] = {"r3d": [0, 1], "mvit": []}
+            return state, arrays
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "capture_state", capture_like_older_versions)
+            live = SessionRunner(dataset, run_config(tmp_path / "ckpt", strategy="ve-full"))
+            live.run(num_steps=4)
+            live.close()
+        state = json.loads((tmp_path / "ckpt" / "snapshot-00000002" / "state.json").read_text())
+        assert state["session"]["eager_inflight"] == {"r3d": [0, 1], "mvit": []}
+
+        resumed = SessionRunner(
+            dataset, run_config(tmp_path / "ckpt", strategy="ve-full", resume=True)
+        )
+        resumed.run()
+        assert session_fingerprint(resumed.vocal) == expected
+        resumed.close()
+
+
 class TestFormat1Root:
     """``data/format1_root``: 3 of 6 steps, checkpointed after step 2."""
 
@@ -245,6 +276,9 @@ class TestFormat1Root:
         assert resumed.recovery.resumed_iteration == 2
         assert len(resumed.recovery.tail_labels) == 3
         state, arrays = checkpoint.capture_state(resumed.vocal.session, written["extra_state"])
+        # Snapshots no longer hold the eager in-flight set; the root's is
+        # empty, and restore ignores it.
+        assert written["session"].pop("eager_inflight") == {}
         assert json.loads(json.dumps({**state, "format": 1})) == written
         assert arrays.keys() == written_arrays.keys()
         for key, array in written_arrays.items():

@@ -39,16 +39,14 @@ class TestPairwiseSqDistances:
         assert (pairwise_sq_distances(x, x) >= 0.0).all()
 
     def test_single_shared_kernel(self):
-        # Every index backend and the ALM's k-means import this exact kernel,
-        # and coreset/k-means obtain ANN backends via the index factory
-        # (one distance implementation for the whole system).
+        # The exact scan and the ALM's k-means import this one kernel, and
+        # coreset searches through the one exact scan (one distance
+        # implementation for the whole system).
         import repro.index
         from repro.alm import clustering
         from repro.alm.acquisition import coreset
-        from repro.index import distances
-        from repro.index import exact, ivf_flat
+        from repro.index import distances, exact
 
-        for module in (clustering, exact, ivf_flat):
+        for module in (clustering, exact):
             assert module.pairwise_sq_distances is distances.pairwise_sq_distances
-        assert clustering.make_index is repro.index.make_index
-        assert coreset.make_index is repro.index.make_index
+        assert coreset.ExactScan is repro.index.ExactScan

@@ -1,15 +1,12 @@
-"""Tests for FeatureStore vector search: backend choice, search, invalidation."""
+"""Tests for FeatureStore vector search: exact hits, writes between searches, restore."""
 
 import numpy as np
 import pytest
 
-from repro.config import IndexConfig
 from repro.exceptions import MissingFeatureError
-from repro.index import ExactIndex, IVFFlatIndex, make_index
+from repro.index import ExactScan
 from repro.storage.feature_store import FeatureStore
-from repro.types import ClipSpec
-
-IVF = IndexConfig(backend="ivf-flat")
+from repro.types import ClipSpec, FeatureVector
 
 
 def filled_store(n=60, dim=8, seed=0, fid="r3d"):
@@ -23,12 +20,14 @@ def filled_store(n=60, dim=8, seed=0, fid="r3d"):
     return store, vectors
 
 
-class TestSearch:
-    def test_default_backend_is_exact(self):
-        store, vectors = filled_store()
-        store.search("r3d", vectors[0], k=1)
-        assert type(store._shards["r3d"]._vindex) is ExactIndex
+def assert_scan_equal(store, fid, queries, k):
+    """The store's hits equal a from-scratch exact scan of the shard's rows, bit for bit."""
+    got = store.search(fid, queries, k=k)
+    want = ExactScan(store._shards[fid].matrix.copy()).search(queries, k)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+
+class TestSearch:
     def test_search_returns_nearest_rows(self):
         store, vectors = filled_store()
         distances, rows = store.search("r3d", vectors[13], k=1)
@@ -55,7 +54,7 @@ class TestSearch:
     def test_unknown_extractor_raises(self):
         store, __ = filled_store()
         with pytest.raises(MissingFeatureError):
-            store.search("nope", np.zeros(4), k=1, index=IVF)
+            store.search("nope", np.zeros(4), k=1)
         assert store.extractors() == ["r3d"]
 
     def test_empty_shard_raises(self):
@@ -65,52 +64,41 @@ class TestSearch:
             store.search("r3d", np.zeros(4), k=1)
 
 
-class TestIndexConfig:
-    def test_backend_switch_takes_effect(self):
-        store, vectors = filled_store(n=200)
-        distances, rows = store.search("r3d", vectors[3], k=1, index=IVF)
-        assert type(store._shards["r3d"]._vindex) is IVFFlatIndex
-        assert rows[0, 0] == 3  # its own cell is always probed
+class TestExactHits:
+    @pytest.mark.parametrize("dim", [512, 768, 37])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_interleaved_writes_and_searches_match_a_fresh_scan(self, dim, k):
+        # Row norms are cached across searches and extended over appended
+        # rows; every search must still equal a scan computed from scratch.
+        rng = np.random.default_rng(dim + k)
+        store = FeatureStore()
+        next_vid = 0
+        for step in range(6):
+            count = int(rng.integers(1, 9))
+            vids = np.arange(next_vid, next_vid + count)
+            store.add_batch("r3d", vids, np.zeros(count), np.ones(count),
+                            rng.standard_normal((count, dim)))
+            next_vid += count
+            if step % 2:
+                store.add(FeatureVector("r3d", next_vid, 0.0, 1.0, rng.standard_normal(dim)))
+                next_vid += 1
+            queries = rng.standard_normal((3, dim))
+            assert_scan_equal(store, "r3d", queries, k)
+            assert_scan_equal(store, "r3d", queries[0], k)
 
-    def test_config_fields_and_seed_reach_the_index(self):
-        store, vectors = filled_store(n=200)
-        config = IndexConfig(backend="ivf-flat", nlist=5, nprobe=2, retrain_factor=0.25)
-        store.search("r3d", vectors[0], k=1, index=config, seed=7)
-        built = store._shards["r3d"]._vindex
-        assert (built.nlist, built.nprobe, built.retrain_factor, built.seed) == (5, 2, 0.25, 7)
-
-    def test_same_config_keeps_built_index(self):
-        store, vectors = filled_store()
-        store.search("r3d", vectors[0], k=1, index=IndexConfig(backend="ivf-flat"), seed=3)
-        shard = store._shards["r3d"]
-        built = shard._vindex
-        # An equal config (not the same object) and seed reuse the index.
-        store.search("r3d", vectors[1], k=1, index=IndexConfig(backend="ivf-flat"), seed=3)
-        assert shard._vindex is built
-
-    def test_different_config_or_seed_rebuilds_index(self):
-        store, vectors = filled_store()
-        store.search("r3d", vectors[0], k=1)
-        shard = store._shards["r3d"]
-        exact = shard._vindex
-        store.search("r3d", vectors[0], k=1, index=IVF, seed=1)
-        ivf = shard._vindex
-        assert type(ivf) is IVFFlatIndex and ivf is not exact
-        store.search("r3d", vectors[0], k=1, index=IVF, seed=2)
-        assert shard._vindex is not ivf and shard._vindex.seed == 2
-        store.search("r3d", vectors[0], k=1)
-        assert type(shard._vindex) is ExactIndex
-
-    def test_search_matches_a_fresh_index_of_the_config(self):
-        # The store adds nothing to the index: hits equal a fresh index of
-        # the same config and seed built over the stored matrix.
-        for config in (IndexConfig(), IndexConfig(backend="ivf-flat", nprobe=2)):
-            store, vectors = filled_store(n=150, seed=4)
-            fresh = make_index(config, seed=9)
-            fresh.build(vectors)
-            got = store.search("r3d", vectors[:20], k=6, index=config, seed=9)
-            want = fresh.search(vectors[:20], 6)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    def test_restored_columns_match_a_fresh_scan(self):
+        store, vectors = filled_store(n=90, dim=37, seed=4)
+        store.search("r3d", vectors[0], k=3)  # caches norms on the old store
+        restored = FeatureStore()
+        restored.restore_columns({"r3d": store.columns("r3d")}, {"r3d": store.dim("r3d")})
+        queries = np.random.default_rng(8).standard_normal((5, 37))
+        for k in (1, 10):
+            assert_scan_equal(restored, "r3d", queries, k)
+        # Columns adopted by a shard that has searched replace its cached norms.
+        fresh = np.random.default_rng(9).standard_normal((40, 37))
+        store._shards["r3d"].adopt_columns(np.arange(40), np.zeros(40), np.ones(40), fresh)
+        for k in (1, 10):
+            assert_scan_equal(store, "r3d", queries, k)
 
 
 class TestWriteInvalidation:
@@ -129,29 +117,23 @@ class TestWriteInvalidation:
     def test_single_add_visible_to_next_search(self):
         store, vectors = filled_store(n=20)
         store.search("r3d", vectors[0], k=1)
-        from repro.types import FeatureVector
-
         new_vector = np.full(vectors.shape[1], 123.0)
         store.add(FeatureVector("r3d", 500, 0.0, 1.0, new_vector))
         __, rows = store.search("r3d", new_vector, k=1)
         assert store.clips_at("r3d", rows[0])[0].vid == 500
 
     def test_search_results_deterministic_after_rebuild(self):
-        for backend in ("exact", "ivf-flat"):
-            runs = []
-            for __ in range(2):
-                store, vectors = filled_store(n=120)
-                runs.append(
-                    store.search("r3d", vectors[:10], k=5, index=IndexConfig(backend=backend), seed=7)
-                )
-            assert np.array_equal(runs[0][1], runs[1][1])
-            assert np.array_equal(runs[0][0], runs[1][0])
+        runs = []
+        for __ in range(2):
+            store, vectors = filled_store(n=120)
+            runs.append(store.search("r3d", vectors[:10], k=5))
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert np.array_equal(runs[0][0], runs[1][0])
 
-    def test_restore_drops_index_and_rebuilds(self):
+    def test_restored_store_searches_its_rows(self):
         store, vectors = filled_store(n=30)
         store.search("r3d", vectors[0], k=1)
         restored = FeatureStore()
         restored.restore_columns({"r3d": store.columns("r3d")}, {"r3d": store.dim("r3d")})
-        assert restored._shards["r3d"]._vindex is None
         __, rows = restored.search("r3d", vectors[11], k=1)
         assert rows[0, 0] == 11

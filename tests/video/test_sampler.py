@@ -44,11 +44,6 @@ class TestFeatureWindows:
         assert len(windows) == 1
         assert windows[0].end == pytest.approx(0.5)
 
-    def test_windows_for_multiple_videos(self):
-        sampler = ClipSampler()
-        windows = sampler.feature_windows_for([video(0), video(1, duration=5.0)])
-        assert {clip.vid for clip in windows} == {0, 1}
-
     def test_window_containing(self):
         sampler = ClipSampler()
         record = video(duration=10.0)
